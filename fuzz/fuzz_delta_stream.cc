@@ -59,13 +59,17 @@ std::shared_ptr<const dyncq::Schema> SharedSchema() {
 }
 
 // All q-hierarchical over SharedSchema(): free-var chains, a projection,
-// a boolean query, a full-arity identity, and a star join.
+// a boolean query, a full-arity identity, a star join, and a depth-3
+// chain (fanout-1 x over y items over a unit leaf z). The first input
+// byte picks an entry modulo the menu size, so appending an entry
+// re-maps some committed seeds to other queries.
 constexpr const char* kQueryMenu[] = {
     "Q(x, y) :- R(x, y), T(y).",
     "Q(x) :- R(x, y).",
     "Q() :- S(x, y), T(x).",
     "Q(x, y, z) :- U(x, y, z).",
     "Q(x) :- R(x, y), S(x, z), T(x).",
+    "Q(x, y, z) :- T(x), R(x, y), U(x, y, z).",
 };
 
 std::vector<Tuple> SortedResult(dyncq::DynamicQueryEngine& engine) {

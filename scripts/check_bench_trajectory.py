@@ -45,14 +45,15 @@ E12_RELATION_PROBE = r"^BM_RelationProbe(Hit|Miss|EraseInsert)/\d+$"
 
 # GATED since PR 9 (rode report-only from PR 5 while the committed
 # baseline aged — the same promotion path the relation probes took):
-# the structure micros (generalized leaf inlining + path compression vs
-# the legacy layout — BM_EngineUpdateChain3{Compressed,Legacy},
-# BM_EngineUpdateMultiLeaf{Strided,Legacy} at 4k/64k adom). Folded into
-# the e12 preset below; CI pairs that preset with --max-regress 0.5,
-# the micro-suite tolerance.
-E12_STRUCTURE_MICROS = (
-    r"^BM_EngineUpdate(Chain3(Compressed|Legacy)"
-    r"|MultiLeaf(Strided|Legacy))/\d+$")
+# the structure micros (single-update churn on the item-forest layout's
+# target shapes — BM_EngineUpdateChain3, the 3-level chain over a unit
+# leaf, and BM_EngineUpdateMultiLeaf, a strided k=2 leaf, at 4k/64k
+# adom). With path compression and the legacy layout deleted, the
+# former Chain3Compressed / MultiLeafStrided micros took these names
+# (committed baseline values carried over) and the *Legacy pair is gone.
+# Folded into the e12 preset below; CI pairs that preset with
+# --max-regress 0.5, the micro-suite tolerance.
+E12_STRUCTURE_MICROS = r"^BM_EngineUpdate(Chain3|MultiLeaf)/\d+$"
 
 # GATED since PR 10 (registered report-only with the PR 9 hive
 # ItemPool, promoted after the committed BENCH_e12.json baseline aged

@@ -1,9 +1,7 @@
 #include "core/component_engine.h"
 
 #include <algorithm>
-#include <cstring>
 #include <ostream>
-#include <unordered_set>
 
 #include "util/check.h"
 #include "util/u128.h"
@@ -28,63 +26,6 @@ std::vector<std::size_t> TrackedCounts(const QTree& tree) {
   return out;
 }
 
-/// A leaf whose "items" are records in the parent's child index instead
-/// of allocated blocks: always for single-atom leaves (PR 1), and for
-/// k > 1 leaves when the stride-(k+2) mode is enabled.
-bool TreeInlinedLeaf(const QTree& tree, int n, const EngineTuning& t) {
-  const QTreeNode& tn = tree.node(n);
-  return tn.children.empty() && tn.parent >= 0 &&
-         (tn.tracked_atoms.size() == 1 || t.inline_multi_leaves);
-}
-
-/// Path-compression eligibility of node v: exactly one child u, u's
-/// items exist (u is not an inlined leaf), and nothing below u is a
-/// materialized item (u's children, if any, are all inlined leaves) —
-/// so absorbing u into v's block never leaves an allocated item whose
-/// parent pointer would have to reach into a run record.
-int TreeAbsorbChild(const QTree& tree, int v, const EngineTuning& t) {
-  if (!t.compress_paths) return -1;
-  const QTreeNode& tn = tree.node(v);
-  if (tn.children.size() != 1) return -1;
-  const int u = tn.children[0];
-  if (TreeInlinedLeaf(tree, u, t)) return -1;
-  for (int w : tree.node(u).children) {
-    if (!TreeInlinedLeaf(tree, w, t)) return -1;
-  }
-  return u;
-}
-
-/// Byte offset of the absorbed child's ChildSlot array within the run
-/// record, and the record's total size. Layout (base is 16-aligned):
-/// [weight][weight_free][value][counts k*8][pad][slots].
-std::size_t RunSlotsOffsetFor(std::size_t num_tracked) {
-  return AlignUp(
-      ComponentEngine::kRunValueOff + sizeof(Value) + num_tracked * 8,
-      alignof(ChildSlot));
-}
-std::size_t RunRecSizeFor(std::size_t num_tracked,
-                          std::size_t num_children) {
-  return AlignUp(
-      RunSlotsOffsetFor(num_tracked) + num_children * sizeof(ChildSlot),
-      16);
-}
-
-/// Per-node extra block bytes for the run record of path-compressed
-/// heads (0 for ineligible nodes). Mirrors the eligibility the node
-/// metadata records; ItemPool appends the region 16-aligned.
-std::vector<std::size_t> RunExtraBytes(const QTree& tree,
-                                       const EngineTuning& t) {
-  std::vector<std::size_t> out(tree.NumNodes(), 0);
-  for (std::size_t v = 0; v < tree.NumNodes(); ++v) {
-    const int u = TreeAbsorbChild(tree, static_cast<int>(v), t);
-    if (u >= 0) {
-      const QTreeNode& un = tree.node(u);
-      out[v] = RunRecSizeFor(un.tracked_atoms.size(), un.children.size());
-    }
-  }
-  return out;
-}
-
 /// All-positive / all-zero tests over a strided leaf record's k counts.
 bool LeafRecFit(const std::uint64_t* pay, int k) {
   for (int i = 0; i < k; ++i) {
@@ -101,13 +42,10 @@ bool LeafRecEmpty(const std::uint64_t* pay, int k) {
 
 }  // namespace
 
-ComponentEngine::ComponentEngine(Query query, QTree tree,
-                                 const EngineTuning& tuning)
+ComponentEngine::ComponentEngine(Query query, QTree tree)
     : query_(std::move(query)),
       tree_(std::move(tree)),
-      tuning_(tuning),
-      pool_(ChildrenCounts(tree_), TrackedCounts(tree_),
-            RunExtraBytes(tree_, tuning)) {
+      pool_(ChildrenCounts(tree_), TrackedCounts(tree_)) {
   // Node metadata.
   node_meta_.resize(tree_.NumNodes());
   int max_depth = 0;
@@ -117,9 +55,10 @@ ComponentEngine::ComponentEngine(Query query, QTree tree,
     nm.num_children = static_cast<int>(tn.children.size());
     nm.num_tracked = static_cast<int>(tn.tracked_atoms.size());
     nm.is_free = tn.is_free;
-    // Root nodes stay materialized even when leaf-shaped: the root index
-    // and root fit list hold real items.
-    nm.unit_leaf = TreeInlinedLeaf(tree_, static_cast<int>(n), tuning_);
+    // A non-root leaf's "items" are records in the parent's child index
+    // instead of allocated blocks. Root nodes stay materialized even when
+    // leaf-shaped: the root index and root fit list hold real items.
+    nm.unit_leaf = tn.children.empty() && tn.parent >= 0;
     nm.leaf_stride =
         nm.unit_leaf ? (nm.num_tracked == 1 ? 1 : nm.num_tracked + 2) : 0;
     nm.slot_in_parent = tn.slot_in_parent;
@@ -158,8 +97,8 @@ ComponentEngine::ComponentEngine(Query query, QTree tree,
     lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
     for (std::size_t line : lines) nm.touch_offsets.push_back(line * 64);
   }
-  // Second pass: strided-leaf slot configuration and path-compression
-  // metadata (needs every node's first-pass meta).
+  // Second pass: strided-leaf slot configuration (needs every child's
+  // first-pass meta).
   for (std::size_t n = 0; n < tree_.NumNodes(); ++n) {
     const QTreeNode& tn = tree_.node(static_cast<int>(n));
     NodeMeta& nm = node_meta_[n];
@@ -170,26 +109,6 @@ ComponentEngine::ComponentEngine(Query query, QTree tree,
         nm.leaf_slot_strides.emplace_back(static_cast<int>(c),
                                           cm.leaf_stride);
       }
-    }
-    const int u = TreeAbsorbChild(tree_, static_cast<int>(n), tuning_);
-    if (u >= 0) {
-      nm.absorb_child_node = u;
-      nm.run_rec_off = AlignUp(
-          nm.slots_off + static_cast<std::size_t>(nm.num_children) *
-                             sizeof(ChildSlot),
-          16);
-      NodeMeta& um = node_meta_[static_cast<std::size_t>(u)];
-      um.absorbable = true;
-      um.run_counts_off = kRunValueOff + sizeof(Value);
-      um.run_slots_off =
-          RunSlotsOffsetFor(static_cast<std::size_t>(um.num_tracked));
-      um.run_rec_size =
-          RunRecSizeFor(static_cast<std::size_t>(um.num_tracked),
-                        static_cast<std::size_t>(um.num_children));
-      // The record offsets here and the pool's block sizing derive the
-      // same layout independently; pin them to each other.
-      DYNCQ_CHECK(nm.run_rec_off + um.run_rec_size <=
-                  pool_.block_size(static_cast<std::uint32_t>(n)));
     }
   }
   dirty_.resize(static_cast<std::size_t>(max_depth) + 1);
@@ -246,25 +165,6 @@ ComponentEngine::ComponentEngine(Query query, QTree tree,
       am.leaf_inline = am.d >= 2 && last.unit_leaf;
       am.leaf_free = last.is_free;
     }
-    // Path compression: the walk's last materialized level (the level
-    // just above an inlined leaf, or the rep level itself) may be an
-    // absorbable node whose item lives as a run record in the head's
-    // block.
-    {
-      const int ndt = am.leaf_inline ? am.d - 1 : am.d;
-      if (ndt >= 2) {
-        const NodeMeta& tailm = node_meta_[static_cast<std::size_t>(
-            am.level_node[static_cast<std::size_t>(ndt - 1)])];
-        am.tail_absorb = tailm.absorbable;
-        if (am.tail_absorb && am.leaf_inline) {
-          am.run_leaf_slot_off =
-              tailm.run_slots_off +
-              static_cast<std::size_t>(am.level_parent_slot.back()) *
-                  sizeof(ChildSlot);
-        }
-      }
-    }
-
     // Consistency checks: repeated variables and constants (§6.4: only
     // atoms with z_s = z_t ⇒ b_s = b_t participate; constants are the
     // engine's selection extension).
@@ -303,18 +203,6 @@ ComponentEngine::ComponentEngine(Query query, QTree tree,
           nm.unit_leaf ? (nm.leaf_stride == 1 ? 1 : 2) : 0);
       enum_meta_.leaf_stride.push_back(nm.leaf_stride);
       enum_meta_.slot_off.push_back(nm.parent_slot_off);
-      enum_meta_.absorbable.push_back(nm.absorbable ? 1 : 0);
-      const NodeMeta* pm =
-          tn.parent >= 0 ? &node_meta_[static_cast<std::size_t>(tn.parent)]
-                         : nullptr;
-      enum_meta_.parent_rec_off.push_back(pm != nullptr ? pm->run_rec_off
-                                                        : 0);
-      enum_meta_.rec_slot_off.push_back(
-          pm != nullptr && pm->absorbable
-              ? pm->run_slots_off +
-                    static_cast<std::size_t>(tn.slot_in_parent) *
-                        sizeof(ChildSlot)
-              : 0);
       for (auto it = tn.children.rbegin(); it != tn.children.rend(); ++it) {
         stack.push_back(*it);
       }
@@ -337,9 +225,6 @@ ComponentEngine::~ComponentEngine() {
 void ComponentEngine::FreeSubtree(Item* it) {
   const NodeMeta& nm = node_meta_[it->node];
   const QTreeNode& tn = tree_.node(static_cast<int>(it->node));
-  // A live run record owns its leaf tables (its children are all inlined
-  // leaves, so there is no item recursion below it).
-  if (it->run_len != 0) DestroyRunSlots(it);
   ChildSlot* slots = reinterpret_cast<ChildSlot*>(
       reinterpret_cast<char*>(it) + nm.slots_off);
   for (int u = 0; u < nm.num_children; ++u) {
@@ -441,13 +326,6 @@ void ComponentEngine::RestoreDetached(ComponentSnapshot& snap) {
 
 void ComponentEngine::RetireDetached(std::uint64_t epoch,
                                      std::vector<ItemHandle>* items) {
-  // Run records own leaf index tables through ChildSlots the pool does
-  // not know about (they live behind the per-node slot array); release
-  // them here, mirroring FreeSubtree.
-  for (ItemHandle h : *items) {
-    Item* it = pool_.Resolve(h);
-    if (it->run_len != 0) DestroyRunSlots(it);
-  }
   pool_.Retire(epoch, *items);
   items->clear();
 }
@@ -463,183 +341,6 @@ Item* ComponentEngine::AllocItem(std::uint32_t n, std::size_t stripe) {
     }
   }
   return it;
-}
-
-// ---------------------------------------------------------------------------
-// Path-compressed run records.
-//
-// A head item (node with structural fanout 1 whose single child u has no
-// materialized descendants) represents its only child item as a record
-// inside its own block while exactly one child value exists: the child's
-// weights, value, tracked counts, and leaf ChildSlots live at
-// run_rec_off, and no u-Item is allocated. The child "fit list" of a
-// compressed head is implicit (a one-element list); the slot's running
-// sums are published absolutely from the record's weights. A second
-// child value splits the record into a real item lazily; a deletion that
-// drops the child index back to one entry re-merges it.
-// ---------------------------------------------------------------------------
-
-void ComponentEngine::CreateRun(Item* head, Value v) {
-  const NodeMeta& hm = node_meta_[head->node];
-  const NodeMeta& um =
-      node_meta_[static_cast<std::size_t>(hm.absorb_child_node)];
-  char* rec = RunRecBase(head);
-  // The region is all-zero (pool memset / DestroyRunSlots), which is the
-  // valid empty state for counts, weights, and ChildSlots alike.
-  *reinterpret_cast<Value*>(rec + kRunValueOff) = v;
-  ChildSlot* rslots = reinterpret_cast<ChildSlot*>(rec + um.run_slots_off);
-  for (int c = 0; c < um.num_children; ++c) new (rslots + c) ChildSlot();
-  for (const auto& [c, stride] : um.leaf_slot_strides) {
-    rslots[c].index.set_stride(static_cast<std::size_t>(stride));
-  }
-  head->run_len = 1;
-}
-
-Item* ComponentEngine::SplitRun(Item* head, std::size_t stripe) {
-  const NodeMeta& hm = node_meta_[head->node];
-  const NodeMeta& um =
-      node_meta_[static_cast<std::size_t>(hm.absorb_child_node)];
-  char* rec = RunRecBase(head);
-  Item* it = AllocItem(static_cast<std::uint32_t>(hm.absorb_child_node),
-                       stripe);
-  it->parent = head->self;
-  it->value = *reinterpret_cast<Value*>(rec + kRunValueOff);
-  it->weight = reinterpret_cast<Weight*>(rec)[0];
-  it->weight_free = reinterpret_cast<Weight*>(rec)[1];
-  std::memcpy(ItemCounts(it), rec + um.run_counts_off,
-              static_cast<std::size_t>(um.num_tracked) *
-                  sizeof(std::uint64_t));
-  // Move the slots: ChildSlot/ChildIndex hold no self- or back-pointers,
-  // so a byte move transfers heap-table ownership; the source region is
-  // re-zeroed so no destructor ever runs on the moved-from bytes.
-  std::memcpy(reinterpret_cast<char*>(it) + um.slots_off,
-              rec + um.run_slots_off,
-              static_cast<std::size_t>(um.num_children) * sizeof(ChildSlot));
-  std::memset(rec, 0, um.run_rec_size);
-  head->run_len = 0;
-  ChildSlot& vslot = *reinterpret_cast<ChildSlot*>(
-      reinterpret_cast<char*>(head) + hm.slots_off);
-  std::uint64_t* slot = vslot.index.FindOrInsertSlot(it->value);
-  DYNCQ_DCHECK(*slot == 0);
-  *slot = it->self.bits();
-  if (it->weight > 0) ListPushBack(pool_, vslot, it);
-  // The slot's running sums are unchanged: the child's weight is the
-  // same whether it lives as a record or an item.
-  return it;
-}
-
-void ComponentEngine::MergeRun(Item* head, std::size_t stripe) {
-  const NodeMeta& hm = node_meta_[head->node];
-  const NodeMeta& um =
-      node_meta_[static_cast<std::size_t>(hm.absorb_child_node)];
-  ChildSlot& vslot = *reinterpret_cast<ChildSlot*>(
-      reinterpret_cast<char*>(head) + hm.slots_off);
-  DYNCQ_DCHECK(head->run_len == 0 && vslot.index.size() == 1);
-  const std::uint64_t* r0 = vslot.index.FirstRecord();
-  Item* child = pool_.Resolve(ItemHandle::FromBits(r0[1]));
-  if (child->in_list) ListRemove(pool_, vslot, child);
-  char* rec = RunRecBase(head);  // all-zero while run_len == 0
-  reinterpret_cast<Weight*>(rec)[0] = child->weight;
-  reinterpret_cast<Weight*>(rec)[1] = child->weight_free;
-  *reinterpret_cast<Value*>(rec + kRunValueOff) = child->value;
-  std::memcpy(rec + um.run_counts_off, ItemCounts(child),
-              static_cast<std::size_t>(um.num_tracked) *
-                  sizeof(std::uint64_t));
-  std::memcpy(rec + um.run_slots_off,
-              reinterpret_cast<char*>(child) + um.slots_off,
-              static_cast<std::size_t>(um.num_children) * sizeof(ChildSlot));
-  std::memset(reinterpret_cast<char*>(child) + um.slots_off, 0,
-              static_cast<std::size_t>(um.num_children) * sizeof(ChildSlot));
-  head->run_len = 1;
-  vslot.index.Erase(child->value);
-  pool_.Free(child, stripe);
-  // Running sums unchanged, as in SplitRun.
-}
-
-void ComponentEngine::MaintainRun(Item* head) {
-  if (head->run_len == 0) return;
-  const NodeMeta& hm = node_meta_[head->node];
-  const NodeMeta& um =
-      node_meta_[static_cast<std::size_t>(hm.absorb_child_node)];
-  char* rec = RunRecBase(head);
-  const std::uint64_t* counts =
-      reinterpret_cast<const std::uint64_t*>(rec + um.run_counts_off);
-  const ChildSlot* rslots =
-      reinterpret_cast<const ChildSlot*>(rec + um.run_slots_off);
-  // Lemmas 6.3/6.4 for the absorbed child, published absolutely into the
-  // head's slot sums (the implicit one-element fit list).
-  Weight c = 1;
-  for (int s : um.rep_slots) c *= counts[s];
-  for (int u = 0; u < um.num_children; ++u) c *= rslots[u].sum;
-  Weight* w = reinterpret_cast<Weight*>(rec);
-  w[0] = c;
-  if (um.is_free) {
-    if (c == 0) {
-      w[1] = 0;
-    } else {
-      Weight ct = 1;
-      for (int fs : um.free_child_slots) ct *= rslots[fs].sum_free;
-      w[1] = ct;
-    }
-  }
-  ChildSlot& vslot = *reinterpret_cast<ChildSlot*>(
-      reinterpret_cast<char*>(head) + hm.slots_off);
-  vslot.sum = c;
-  if (um.is_free) vslot.sum_free = w[1];
-  // Step 5 for the record: drop it once no tracked atom is supported
-  // (all leaf entries below it are necessarily gone by then).
-  bool all_zero = true;
-  for (int s = 0; s < um.num_tracked; ++s) {
-    if (counts[s] != 0) {
-      all_zero = false;
-      break;
-    }
-  }
-  if (all_zero) DestroyRunSlots(head);
-}
-
-void ComponentEngine::DestroyRunSlots(Item* head) {
-  const NodeMeta& hm = node_meta_[head->node];
-  const NodeMeta& um =
-      node_meta_[static_cast<std::size_t>(hm.absorb_child_node)];
-  char* rec = RunRecBase(head);
-  ChildSlot* rslots = reinterpret_cast<ChildSlot*>(rec + um.run_slots_off);
-  for (int c = 0; c < um.num_children; ++c) rslots[c].~ChildSlot();
-  std::memset(rec, 0, um.run_rec_size);
-  head->run_len = 0;
-}
-
-void ComponentEngine::RunMergePass() {
-  bool any = !seq_merge_cands_.empty();
-  for (const ShardState& sh : shards_) any = any || !sh.merge_cands.empty();
-  if (!any) {
-    seq_freed_.clear();
-    for (ShardState& sh : shards_) sh.freed_log.clear();
-    return;
-  }
-  std::unordered_set<std::uint64_t> freed;
-  for (ItemHandle h : seq_freed_) freed.insert(h.bits());
-  for (const ShardState& sh : shards_) {
-    for (ItemHandle h : sh.freed_log) freed.insert(h.bits());
-  }
-  auto run = [&](std::vector<ItemHandle>& cands) {
-    for (ItemHandle hh : cands) {
-      // A candidate that died later in the batch must be skipped before
-      // resolving: its handle is stale by construction.
-      if (freed.count(hh.bits()) != 0) continue;
-      Item* head = pool_.Resolve(hh);
-      const NodeMeta& hm = node_meta_[head->node];
-      ChildSlot& vslot = *reinterpret_cast<ChildSlot*>(
-          reinterpret_cast<char*>(head) + hm.slots_off);
-      if (head->run_len != 0 || vslot.index.size() != 1) continue;
-      MergeRun(head, 0);
-    }
-    cands.clear();
-  };
-  run(seq_merge_cands_);
-  for (ShardState& sh : shards_) run(sh.merge_cands);
-  seq_freed_.clear();
-  for (ShardState& sh : shards_) sh.freed_log.clear();
 }
 
 bool ComponentEngine::MatchesAtom(const AtomMeta& am, const Tuple& t) const {
@@ -686,11 +387,8 @@ void ComponentEngine::ApplyAtomDelta(const AtomMeta& am, const Tuple& t,
   // q-tree node, so both are prefetched the moment the item pointer is
   // known and no header pointer is chased on the way down.
   // For leaf-inline atoms the last level is a record in the level-(d-2)
-  // item's child index; with tail_absorb the level above that may itself
-  // be a run record in the head's block — only the first `nd` levels are
-  // guaranteed materialized items.
-  const int ndt = am.leaf_inline ? am.d - 1 : am.d;
-  const int nd = am.tail_absorb ? ndt - 1 : ndt;
+  // item's child index, so only the first `nd` levels are items.
+  const int nd = am.leaf_inline ? am.d - 1 : am.d;
   SmallVector<Item*, 8> chain;
   Item* parent = nullptr;
   for (int j = 0; j < nd; ++j) {
@@ -734,85 +432,12 @@ void ComponentEngine::ApplyAtomDelta(const AtomMeta& am, const Tuple& t,
     parent = it;
   }
 
-  // Resolve the absorbable tail level: the level-(ndt-1) item may live
-  // as a run record in the head's block (rec != nullptr), or as a
-  // materialized item that is appended to the chain.
-  char* rec = nullptr;
-  const NodeMeta* um = nullptr;
-  if (am.tail_absorb) {
-    Item* head = chain[static_cast<std::size_t>(nd - 1)];
-    const std::size_t st = static_cast<std::size_t>(ndt - 1);
-    um = &node_meta_[static_cast<std::size_t>(am.level_node[st])];
-    ChildSlot& vslot = *reinterpret_cast<ChildSlot*>(
-        reinterpret_cast<char*>(head) + am.level_slot_off[st]);
-    const Value v = t[static_cast<std::size_t>(am.read_pos[st])];
-    if (insert) {
-      if (head->run_len != 0) {
-        if (*reinterpret_cast<Value*>(RunRecBase(head) + kRunValueOff) ==
-            v) {
-          rec = RunRecBase(head);
-        } else {
-          SplitRun(head, /*stripe=*/0);  // second value: materialize
-        }
-      } else if (vslot.index.empty()) {
-        CreateRun(head, v);  // first value: absorb, no allocation
-        rec = RunRecBase(head);
-      }
-      if (rec == nullptr) {
-        std::uint64_t* slot = vslot.index.FindOrInsertSlot(v);
-        if (*slot == 0) {
-          Item* fresh = AllocItem(
-              static_cast<std::uint32_t>(am.level_node[st]));
-          fresh->value = v;
-          fresh->parent = head->self;
-          *slot = fresh->self.bits();
-          chain.push_back(fresh);
-        } else {
-          chain.push_back(pool_.Resolve(ItemHandle::FromBits(*slot)));
-        }
-      }
-    } else {
-      if (head->run_len != 0) {
-        DYNCQ_CHECK_MSG(
-            *reinterpret_cast<Value*>(RunRecBase(head) + kRunValueOff) == v,
-            "delete walk hit a missing item");
-        rec = RunRecBase(head);
-      } else {
-        Item* it = pool_.Resolve(ItemHandle::FromBits(vslot.index.Find(v)));
-        DYNCQ_CHECK_MSG(it != nullptr, "delete walk hit a missing item");
-        chain.push_back(it);
-      }
-    }
-  }
-
   if (am.leaf_inline) {
-    ChildSlot& lslot =
-        rec != nullptr
-            ? *reinterpret_cast<ChildSlot*>(rec + am.run_leaf_slot_off)
-            : *reinterpret_cast<ChildSlot*>(
-                  reinterpret_cast<char*>(
-                      chain[static_cast<std::size_t>(ndt - 1)]) +
-                  am.level_slot_off[static_cast<std::size_t>(am.d - 1)]);
-    FlipLeafEntry(am, lslot, t, insert);
-  }
-
-  // Record-level steps 1-5: adjust the absorbed child's tracked count,
-  // recompute its weights, publish the head's slot sums, and drop the
-  // record once empty. The head itself is fixed up by the loop below.
-  if (rec != nullptr) {
-    Item* head = chain[static_cast<std::size_t>(nd - 1)];
-    std::uint64_t& count = *reinterpret_cast<std::uint64_t*>(
-        rec + um->run_counts_off +
-        static_cast<std::size_t>(
-            am.level_slot[static_cast<std::size_t>(ndt - 1)]) *
-            sizeof(std::uint64_t));
-    if (insert) {
-      ++count;
-    } else {
-      DYNCQ_DCHECK(count > 0);
-      --count;
-    }
-    MaintainRun(head);
+    FlipLeafEntry(am,
+                  *reinterpret_cast<ChildSlot*>(
+                      reinterpret_cast<char*>(parent) +
+                      am.level_slot_off[static_cast<std::size_t>(am.d - 1)]),
+                  t, insert);
   }
 
   // Bottom-up: steps 1-5 (+2a/4a) of §6.4 for j = d .. 1 over the
@@ -866,21 +491,10 @@ void ComponentEngine::ApplyAtomDelta(const AtomMeta& am, const Tuple& t,
       }
       if (all_zero) {
         DYNCQ_DCHECK(!it->in_list && it->weight == 0);
-        const std::uint32_t freed_node = it->node;
         ChildIndex& idx = j > 0 ? pslot.index : root_index_;
         bool erased = idx.Erase(it->value);
         DYNCQ_CHECK(erased);
         pool_.Free(it);
-        // Re-merge on deletion: the erase may have dropped the parent's
-        // child index back to a single entry of an absorbable node.
-        if (j > 0) {
-          Item* head = chain[static_cast<std::size_t>(j - 1)];
-          if (node_meta_[head->node].absorb_child_node ==
-                  static_cast<int>(freed_node) &&
-              head->run_len == 0 && pslot.index.size() == 1) {
-            MergeRun(head, /*stripe=*/0);
-          }
-        }
       }
     }
   }
@@ -950,11 +564,7 @@ void ComponentEngine::ApplyBatch(const PendingDelta* deltas, std::size_t n) {
     BatchDescend(am, batch_scratch_, dirty_, /*stripe=*/0,
                  /*roots_premade=*/false);
   }
-  if (touched) {
-    FlushDirty(dirty_, /*stripe=*/0, /*defer_roots=*/nullptr,
-               &seq_merge_cands_, &seq_freed_);
-    RunMergePass();
-  }
+  if (touched) FlushDirty(dirty_, /*stripe=*/0, /*defer_roots=*/nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -1037,7 +647,7 @@ void ComponentEngine::RunShard(std::size_t s) {
                  /*roots_premade=*/true);
     deltas.clear();
   }
-  FlushDirty(sh.dirty, s, &sh.root_fixups, &sh.merge_cands, &sh.freed_log);
+  FlushDirty(sh.dirty, s, &sh.root_fixups);
 }
 
 void ComponentEngine::FinishShardedBatch() {
@@ -1074,19 +684,12 @@ void ComponentEngine::FinishShardedBatch() {
         DYNCQ_DCHECK(!it->in_list && it->weight == 0);
         bool erased = root_index_.Erase(it->value);
         DYNCQ_CHECK(erased);
-        // Log the free: a root freed here may be a pending re-merge
-        // candidate recorded by its shard's phase B (only eligible
-        // heads can be candidates, so only those reach the log).
-        if (nm.absorb_child_node >= 0) {
-          shards_[s].freed_log.push_back(it->self);
-        }
         pool_.Free(it, s);
       }
     }
     shards_[s].root_fixups.clear();
   }
   num_shards_ = 0;
-  RunMergePass();
 }
 
 // Deltas are consumed in blocks: two prefetch sweeps (root buckets, then
@@ -1099,9 +702,8 @@ void ComponentEngine::BatchDescend(const AtomMeta& am,
                                    std::vector<std::vector<DirtyItem>>& dirty,
                                    std::size_t stripe, bool roots_premade) {
   constexpr std::size_t kBatchBlock = 32;
-  const std::size_t ndt =
+  const std::size_t nd =
       static_cast<std::size_t>(am.leaf_inline ? am.d - 1 : am.d);
-  const std::size_t nd = am.tail_absorb ? ndt - 1 : ndt;
   SmallVector<Item*, 8> chain;
   SmallVector<Value, 8> prev_key;
   for (std::size_t base = 0; base < deltas.size(); base += kBatchBlock) {
@@ -1211,97 +813,15 @@ void ComponentEngine::BatchOneDelta(const AtomMeta& am, const AtomDelta& ad,
     }
   }
 
-  // Absorbable tail level: the item may live as a run record in the
-  // head's block. The head is already dirty (prefix loop), and phase B's
-  // MaintainRun finalizes the record's weights, so only the count is
-  // adjusted here. Splits register the materialized item with its
-  // pre-batch (record) weights, exactly as MarkDirty would have.
-  const std::size_t ndt = am.tail_absorb ? nd + 1 : nd;
-  char* rec = nullptr;
-  Item* tail_item = nullptr;
-  if (am.tail_absorb) {
-    Item* head = chain[nd - 1];
-    const Value v = t[static_cast<std::size_t>(am.read_pos[nd])];
-    ChildSlot& vslot = *reinterpret_cast<ChildSlot*>(
-        reinterpret_cast<char*>(head) + am.level_slot_off[nd]);
-    if (ad.insert) {
-      if (head->run_len != 0) {
-        if (*reinterpret_cast<Value*>(RunRecBase(head) + kRunValueOff) ==
-            v) {
-          rec = RunRecBase(head);
-        } else {
-          Item* split = SplitRun(head, stripe);
-          if (split->batch_stamp != batch_epoch_) {
-            split->batch_stamp = batch_epoch_;
-            dirty[nd].push_back(DirtyItem{split, split->node,
-                                          split->weight,
-                                          split->weight_free});
-          }
-        }
-      } else if (vslot.index.empty()) {
-        CreateRun(head, v);
-        rec = RunRecBase(head);
-      }
-      if (rec == nullptr) {
-        std::uint64_t* slot = vslot.index.FindOrInsertSlot(v);
-        if (*slot == 0) {
-          Item* fresh = AllocItem(
-              static_cast<std::uint32_t>(am.level_node[nd]), stripe);
-          fresh->value = v;
-          fresh->parent = head->self;
-          *slot = fresh->self.bits();
-          tail_item = fresh;
-        } else {
-          tail_item = pool_.Resolve(ItemHandle::FromBits(*slot));
-        }
-      }
-    } else {
-      if (head->run_len != 0) {
-        DYNCQ_CHECK_MSG(
-            *reinterpret_cast<Value*>(RunRecBase(head) + kRunValueOff) == v,
-            "batch walk hit a missing item");
-        rec = RunRecBase(head);
-      } else {
-        tail_item =
-            pool_.Resolve(ItemHandle::FromBits(vslot.index.Find(v)));
-        DYNCQ_CHECK_MSG(tail_item != nullptr,
-                        "batch walk hit a missing item");
-      }
-    }
-    const NodeMeta& um =
-        node_meta_[static_cast<std::size_t>(am.level_node[nd])];
-    std::uint64_t& count =
-        rec != nullptr
-            ? *reinterpret_cast<std::uint64_t*>(
-                  rec + um.run_counts_off +
-                  static_cast<std::size_t>(am.level_slot[nd]) *
-                      sizeof(std::uint64_t))
-            : *reinterpret_cast<std::uint64_t*>(
-                  reinterpret_cast<char*>(tail_item) +
-                  am.level_count_off[nd]);
-    if (tail_item != nullptr) {
-      MarkDirty(tail_item, static_cast<int>(nd), dirty);
-    }
-    if (ad.insert) {
-      ++count;
-    } else {
-      DYNCQ_DCHECK(count > 0);
-      --count;
-    }
-  }
-
-  // Leaf-inline level: the parent (item or record host) was marked dirty
-  // above with its pre-batch weight, so the slot sums may be finalized
-  // right away and phase B recomputes the parent from them.
+  // Leaf-inline level: the parent item was marked dirty above with its
+  // pre-batch weight, so the slot sums may be finalized right away and
+  // phase B recomputes the parent from them.
   if (am.leaf_inline) {
-    ChildSlot& lslot =
-        rec != nullptr
-            ? *reinterpret_cast<ChildSlot*>(rec + am.run_leaf_slot_off)
-            : *reinterpret_cast<ChildSlot*>(
-                  reinterpret_cast<char*>(am.tail_absorb ? tail_item
-                                                         : chain[ndt - 1]) +
-                  am.level_slot_off[static_cast<std::size_t>(am.d - 1)]);
-    FlipLeafEntry(am, lslot, t, ad.insert);
+    FlipLeafEntry(am,
+                  *reinterpret_cast<ChildSlot*>(
+                      reinterpret_cast<char*>(chain[nd - 1]) +
+                      am.level_slot_off[static_cast<std::size_t>(am.d - 1)]),
+                  t, ad.insert);
   }
 }
 
@@ -1402,9 +922,7 @@ void ComponentEngine::FlipLeafEntry(const AtomMeta& am, ChildSlot& slot,
 
 void ComponentEngine::FlushDirty(std::vector<std::vector<DirtyItem>>& dirty,
                                  std::size_t stripe,
-                                 std::vector<RootFixup>* defer_roots,
-                                 std::vector<ItemHandle>* merge_cands,
-                                 std::vector<ItemHandle>* freed_log) {
+                                 std::vector<RootFixup>* defer_roots) {
   constexpr std::size_t kLookahead = 8;
   for (std::size_t depth = dirty.size(); depth-- > 0;) {
     std::vector<DirtyItem>& level = dirty[depth];
@@ -1415,7 +933,6 @@ void ComponentEngine::FlushDirty(std::vector<std::vector<DirtyItem>>& dirty,
       // already flushed); the slot fix-up and root deletion run in
       // FinishShardedBatch.
       for (const DirtyItem& d : level) {
-        MaintainRun(d.item);
         RecomputeWeights(d.item, node_meta_[d.node]);
         defer_roots->push_back(
             RootFixup{d.item, d.pre_weight, d.pre_weight_free});
@@ -1434,9 +951,7 @@ void ComponentEngine::FlushDirty(std::vector<std::vector<DirtyItem>>& dirty,
       Item* it = d.item;
       const NodeMeta& nm = node_meta_[it->node];
       // Steps 2/2a: child running sums are final (deeper levels flushed
-      // first, and an absorbed child record is finalized here), so one
-      // recomputation per item suffices.
-      MaintainRun(it);
+      // first), so one recomputation per item suffices.
       RecomputeWeights(it, nm);
 
       // Steps 3/4 (+4a) against the PRE-batch membership and sums.
@@ -1465,24 +980,10 @@ void ComponentEngine::FlushDirty(std::vector<std::vector<DirtyItem>>& dirty,
       }
       if (all_zero) {
         DYNCQ_DCHECK(!it->in_list && it->weight == 0);
-        const std::uint32_t freed_node = it->node;
         ChildIndex& idx = parent != nullptr ? pslot.index : root_index_;
         bool erased = idx.Erase(it->value);
         DYNCQ_CHECK(erased);
-        // Only absorb-eligible heads can be pending merge candidates, so
-        // only their frees need to reach the merge pass's freed set.
-        if (nm.absorb_child_node >= 0) freed_log->push_back(it->self);
         pool_.Free(it, stripe);
-        // Re-merge candidate: the erase left the parent with a single
-        // materialized child of an absorbable node. Deferred to the
-        // post-batch RunMergePass — the lone sibling may itself be a
-        // later entry of this very dirty level.
-        if (parent != nullptr &&
-            node_meta_[parent->node].absorb_child_node ==
-                static_cast<int>(freed_node) &&
-            parent->run_len == 0 && pslot.index.size() == 1) {
-          merge_cands->push_back(parent->self);
-        }
       }
     }
     level.clear();
@@ -1557,31 +1058,6 @@ void ComponentEngine::DumpItem(std::ostream& os, const Item* it,
     const NodeMeta& cm = node_meta_[static_cast<std::size_t>(child_node)];
     if (cm.unit_leaf) {
       DumpLeafSlot(os, slots[u], child_node, indent + 1);
-      continue;
-    }
-    if (nm.absorb_child_node == child_node && it->run_len != 0) {
-      // Path-compressed child: print the run record exactly as its
-      // materialized item would print (fit records only — unfit ones
-      // mirror unlisted items).
-      const char* rec = RunRecBase(it);
-      const Weight w = reinterpret_cast<const Weight*>(rec)[0];
-      if (w == 0) continue;
-      const QTreeNode& cn = tree_.node(child_node);
-      os << std::string(static_cast<std::size_t>(indent + 1) * 2, ' ');
-      os << "[" << query_.VarName(cn.var) << " = "
-         << *reinterpret_cast<const Value*>(rec + kRunValueOff)
-         << "]  C = " << U128ToString(w);
-      if (cm.is_free) {
-        os << "  C~ = "
-           << U128ToString(reinterpret_cast<const Weight*>(rec)[1]);
-      }
-      os << "\n";
-      const ChildSlot* rslots = reinterpret_cast<const ChildSlot*>(
-          rec + cm.run_slots_off);
-      const QTreeNode& un = tree_.node(child_node);
-      for (std::size_t c = 0; c < un.children.size(); ++c) {
-        DumpLeafSlot(os, rslots[c], un.children[c], indent + 2);
-      }
       continue;
     }
     for (const Item* c = pool_.Resolve(SlotHead(slots[u])); c != nullptr;
@@ -1676,8 +1152,6 @@ std::size_t ComponentEngine::CheckItemRec(const Item* it) const {
     }
   }
   DYNCQ_CHECK_MSG(any_count, "item alive with all-zero atom counts");
-  DYNCQ_CHECK_MSG(nm.absorb_child_node >= 0 || it->run_len == 0,
-                  "run record on an ineligible node");
 
   std::size_t reached = 1;
   for (int u = 0; u < nm.num_children; ++u) {
@@ -1689,61 +1163,6 @@ std::size_t ComponentEngine::CheckItemRec(const Item* it) const {
     if (cm.unit_leaf) {
       CheckLeafSlot(cs, cm);
       continue;
-    }
-
-    if (nm.absorb_child_node == child_node) {
-      if (it->run_len != 0) {
-        // Path-compressed child: no index entry, no fit list; the record
-        // is the implicit one-element list and the slot sums equal its
-        // weights.
-        DYNCQ_CHECK_MSG(cs.index.empty(),
-                        "compressed head still holds index entries");
-        DYNCQ_CHECK_MSG(cs.head == 0 && cs.tail == 0,
-                        "compressed head still keeps a fit list");
-        const char* rec = RunRecBase(it);
-        DYNCQ_CHECK_MSG(
-            *reinterpret_cast<const Value*>(rec + kRunValueOff) != 0,
-            "run record with sentinel value");
-        const std::uint64_t* rcounts =
-            reinterpret_cast<const std::uint64_t*>(rec + cm.run_counts_off);
-        bool rany = false;
-        for (int s = 0; s < cm.num_tracked; ++s) {
-          rany = rany || rcounts[s] != 0;
-        }
-        DYNCQ_CHECK_MSG(rany, "run record alive with all-zero counts");
-        const ChildSlot* rslots = reinterpret_cast<const ChildSlot*>(
-            rec + cm.run_slots_off);
-        const QTreeNode& un = tree_.node(child_node);
-        for (std::size_t c = 0; c < un.children.size(); ++c) {
-          CheckLeafSlot(
-              rslots[c],
-              node_meta_[static_cast<std::size_t>(un.children[c])]);
-        }
-        Weight rc = 1;
-        for (int s : cm.rep_slots) rc *= rcounts[s];
-        for (int c = 0; c < cm.num_children; ++c) rc *= rslots[c].sum;
-        DYNCQ_CHECK_MSG(rc == reinterpret_cast<const Weight*>(rec)[0],
-                        "run record weight diverged");
-        if (child_free) {
-          Weight rct = 0;
-          if (rc > 0) {
-            rct = 1;
-            for (int fs : cm.free_child_slots) rct *= rslots[fs].sum_free;
-          }
-          DYNCQ_CHECK_MSG(rct == reinterpret_cast<const Weight*>(rec)[1],
-                          "run record free weight diverged");
-        }
-        DYNCQ_CHECK_MSG(cs.sum == reinterpret_cast<const Weight*>(rec)[0],
-                        "compressed slot sum != record weight");
-        if (child_free) {
-          DYNCQ_CHECK_MSG(
-              cs.sum_free == reinterpret_cast<const Weight*>(rec)[1],
-              "compressed slot free sum != record free weight");
-        }
-        continue;
-      }
-      DYNCQ_CHECK_MSG(cs.index.size() != 1,
-                      "eligible head left a lone child unmerged");
     }
 
     // Fit list: members are exactly the fit children; sums match.

@@ -54,28 +54,14 @@ struct ComponentSnapshot {
   std::vector<ItemHandle> detached;
 };
 
-/// Structural tuning of the item forest. Both transformations are pure
-/// representation changes (enumeration results, counts, and invariants
-/// are bit-identical either way — the differential tests construct
-/// engines with them off to prove it); they exist as flags so the legacy
-/// layout stays testable, not as a user-facing knob.
-struct EngineTuning {
-  /// Leaf nodes tracking k > 1 atoms store stride-(k+2) count records in
-  /// the parent's ChildIndex (counts + fit links) instead of allocating
-  /// leaf Items. Single-atom leaves are always inlined (PR 1 behavior).
-  bool inline_multi_leaves = true;
-  /// Items of fanout-1 q-tree nodes whose single child's children are
-  /// all inlined leaves absorb that child into their own block while it
-  /// is the only child value (run record): splitting lazily when a
-  /// second value appears, re-merging when deletion drops back to one.
-  bool compress_paths = true;
-};
-
 class ComponentEngine {
  public:
   /// `query` must be connected and q-hierarchical; `tree` its q-tree.
-  ComponentEngine(Query query, QTree tree,
-                  const EngineTuning& tuning = EngineTuning{});
+  /// Every non-root leaf node is inlined: its "items" are records in the
+  /// parent's child index (bare presence entries for a single-atom leaf,
+  /// stride-(k+2) count records with fit links for a leaf tracking k > 1
+  /// atoms). Every other (q-tree node, path value) pair is one Item.
+  ComponentEngine(Query query, QTree tree);
 
   ComponentEngine(const ComponentEngine&) = delete;
   ComponentEngine& operator=(const ComponentEngine&) = delete;
@@ -186,23 +172,8 @@ class ComponentEngine {
     std::vector<int> leaf_stride;     // payload words (kind 2 positions)
     std::vector<std::size_t> slot_off;  // byte offset of this position's
                                         // ChildSlot in the parent block
-    // Path compression: a kind-0 position whose parent q-tree node is
-    // fanout-1 may find its item absorbed into the parent item's run
-    // record instead of listed. The cursor then holds a tagged pointer
-    // to the record (bit 0 set; records are 16-aligned).
-    std::vector<char> absorbable;            // this position's node
-    std::vector<std::size_t> parent_rec_off; // record offset in the
-                                             // parent item's block
-    std::vector<std::size_t> rec_slot_off;   // this position's ChildSlot
-                                             // offset from the RECORD
-                                             // base (parent absorbable)
   };
   const EnumMeta& enum_meta() const { return enum_meta_; }
-
-  /// Byte offset of the absorbed child's value within a run record.
-  /// Layout (record base is 16-aligned): [weight 16B][weight_free 16B]
-  /// [value 8B][counts k*8B][pad][child slots].
-  static constexpr std::size_t kRunValueOff = 2 * sizeof(Weight);
 
   /// Number of items currently stored (linear in ||D|| by §6.2).
   std::size_t NumItems() const { return pool_.live_items(); }
@@ -281,18 +252,6 @@ class ComponentEngine {
     bool unit_leaf = false;
     int leaf_stride = 0;
     int slot_in_parent = -1;
-    // Path compression. On the head side: items of this node may absorb
-    // their single child (absorb_child_node = the child's q-tree node,
-    // -1 otherwise) into the run record at run_rec_off. On the absorbed
-    // side: absorbable marks the node whose items may be represented as
-    // a record; run_counts_off / run_slots_off locate its arrays within
-    // the record, and run_rec_size is the record's full byte size.
-    int absorb_child_node = -1;
-    std::size_t run_rec_off = 0;
-    bool absorbable = false;
-    std::size_t run_counts_off = 0;
-    std::size_t run_slots_off = 0;
-    std::size_t run_rec_size = 0;
     // Child slots holding strided-leaf tables: (slot index, payload
     // stride) pairs AllocItem configures right after pool allocation.
     std::vector<std::pair<int, int>> leaf_slot_strides;
@@ -317,13 +276,6 @@ class ComponentEngine {
     // level is a record in the level-(d-2) item's child index.
     bool leaf_inline = false;
     bool leaf_free = false;  // the inlined leaf is a free node
-    // The last materialized level of this walk is an absorbable node:
-    // the level-(nd-2) item may carry it as a run record instead of a
-    // child item (nd = number of materialized-or-absorbed levels).
-    bool tail_absorb = false;
-    // With tail_absorb && leaf_inline: the leaf ChildSlot's offset from
-    // the run-record base (used when the leaf's parent is absorbed).
-    std::size_t run_leaf_slot_off = 0;
   };
 
   /// A batch-touched item with its pre-batch weights (the values the
@@ -368,12 +320,6 @@ class ComponentEngine {
     std::vector<std::vector<AtomDelta>> atom_deltas;  // per atom index
     std::vector<std::vector<DirtyItem>> dirty;        // per q-tree depth
     std::vector<RootFixup> root_fixups;
-    // Path compression: heads whose child index dropped to one entry in
-    // phase B (re-merge candidates, applied after the batch) and every
-    // item freed this batch (a candidate that was itself freed later in
-    // the batch must be skipped, not resolved — its handle is stale).
-    std::vector<ItemHandle> merge_cands;
-    std::vector<ItemHandle> freed_log;
   };
 
   void FreeSubtree(Item* it);
@@ -390,40 +336,6 @@ class ComponentEngine {
   /// tables get their record width set before first use).
   Item* AllocItem(std::uint32_t n, std::size_t stripe = 0);
 
-  // ---- Path-compressed run records (fanout-1 nodes) -------------------
-  // A head item `it` (node with absorb_child_node >= 0) with run_len == 1
-  // carries its single child as a record at run_rec_off in its own block:
-  // [weight][weight_free][value][counts][child slots]. The child slots
-  // are live ChildSlot objects (constructed by CreateRun / moved by
-  // MergeRun, destroyed by DestroyRunSlots); a run_len == 0 head keeps
-  // the whole region zeroed.
-  char* RunRecBase(Item* it) const {
-    return reinterpret_cast<char*>(it) + node_meta_[it->node].run_rec_off;
-  }
-  const char* RunRecBase(const Item* it) const {
-    return reinterpret_cast<const char*>(it) +
-           node_meta_[it->node].run_rec_off;
-  }
-  /// Starts a fresh absorbed child with value `v` (zero counts/weights).
-  void CreateRun(Item* head, Value v);
-  /// Materializes the absorbed child as a real item in `head`'s child
-  /// index (run record moves into the new block, fit list rebuilt from
-  /// its weight). Called when a second child value appears.
-  Item* SplitRun(Item* head, std::size_t stripe);
-  /// Absorbs the single remaining child item back into `head`'s record
-  /// and frees it. Requires run_len == 0 and exactly one index entry.
-  void MergeRun(Item* head, std::size_t stripe);
-  /// Recomputes the absorbed child's weights from its counts and slot
-  /// sums and re-publishes them as head's child-slot running sums; drops
-  /// the record entirely once all its counts reach zero. No-op when
-  /// run_len == 0.
-  void MaintainRun(Item* head);
-  /// Destroys the record's ChildSlot objects and re-zeroes the region.
-  void DestroyRunSlots(Item* head);
-  /// Applies the deferred re-merges of a batch: every candidate that is
-  /// still alive (not in the freed logs) and still has exactly one child
-  /// is re-absorbed.
-  void RunMergePass();
   /// Routes `deltas` into rel_groups_ (per-relation index lists).
   void RouteRelGroups(const PendingDelta* deltas, std::size_t n);
   /// Phase A over one atom's delta list. `stripe` selects the ItemPool
@@ -441,13 +353,9 @@ class ComponentEngine {
   /// Phase B over `dirty`, deepest level first. With `defer_roots` set,
   /// depth-0 items only get their weights recomputed and are appended to
   /// `defer_roots` (sharded mode); otherwise the root-slot fix-up runs
-  /// inline (sequential mode). Re-merge candidates and freed items are
-  /// logged into `merge_cands` / `freed_log` for the post-batch
-  /// RunMergePass.
+  /// inline (sequential mode).
   void FlushDirty(std::vector<std::vector<DirtyItem>>& dirty,
-                  std::size_t stripe, std::vector<RootFixup>* defer_roots,
-                  std::vector<ItemHandle>* merge_cands,
-                  std::vector<ItemHandle>* freed_log);
+                  std::size_t stripe, std::vector<RootFixup>* defer_roots);
   void MarkDirty(Item* it, int depth,
                  std::vector<std::vector<DirtyItem>>& dirty);
   void RecomputeWeights(Item* it, const NodeMeta& nm) const;
@@ -459,7 +367,6 @@ class ComponentEngine {
 
   Query query_;
   QTree tree_;
-  EngineTuning tuning_;
   std::vector<NodeMeta> node_meta_;
   std::vector<AtomMeta> atom_meta_;
   // Routing tables keyed by the handful of relations this component's
@@ -477,8 +384,6 @@ class ComponentEngine {
   // Indexed by atoms_of_rel_'s dense order (AtomMeta::rel_group).
   std::vector<std::vector<std::uint32_t>> rel_groups_;  // rel group -> deltas
   std::vector<std::vector<DirtyItem>> dirty_;  // per q-tree depth
-  std::vector<ItemHandle> seq_merge_cands_;    // sequential-batch scratch
-  std::vector<ItemHandle> seq_freed_;
 
   // Sharded pipeline state (scratch, reused across batches). Worker s
   // only ever touches shards_[s] (and items under its own roots).

@@ -20,25 +20,9 @@ namespace dyncq::core {
 
 namespace {
 
-// Position encoding for regular (non-inlined) document positions:
-//   (ItemHandle bits << 1)  — the current item, resolved via the pool;
-//   (run-record ptr  |  1)  — an absorbable node standing on its
-//                             parent's path-compression run record.
-// Records are 16-aligned inside the parent block, so bit 0 is free;
-// handle bits occupy at most 48 bits, so the shift never overflows.
-// Inlined-leaf positions store ChildIndex entry/record pointers verbatim.
-inline bool RecTagged(std::uint64_t v) { return (v & 1) != 0; }
-inline const char* RecUntag(std::uint64_t v) {
-  return reinterpret_cast<const char*>(
-      static_cast<std::uintptr_t>(v & ~std::uint64_t{1}));
-}
-inline std::uint64_t RecTag(const char* p) {
-  return static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(p)) | 1;
-}
-inline std::uint64_t ItemPos(ItemHandle h) { return h.bits() << 1; }
-inline ItemHandle PosItem(std::uint64_t v) {
-  return ItemHandle::FromBits(v >> 1);
-}
+// Position encoding: regular document positions hold the current item's
+// ItemHandle bits (resolved via the pool); inlined-leaf positions hold
+// ChildIndex entry/record pointers verbatim. 0 is "no position" in both.
 inline const void* PosPtr(std::uint64_t v) {
   return reinterpret_cast<const void*>(static_cast<std::uintptr_t>(v));
 }
@@ -77,31 +61,16 @@ const ChildSlot& ComponentCursor::SlotOf(std::size_t pos) const {
   const auto& meta = ce_->enum_meta();
   int ppos = meta.parent_pos[pos];
   DYNCQ_DCHECK(ppos >= 0);
-  // A parent of any enumerated node is either a regular item (inlined
-  // leaves have no children) or an absorbed run record (tagged); the
-  // slot address is a fixed offset into the item / record either way.
-  const std::uint64_t p = cur_[static_cast<std::size_t>(ppos)];
-  if (RecTagged(p)) {
-    return *reinterpret_cast<const ChildSlot*>(RecUntag(p) +
-                                               meta.rec_slot_off[pos]);
-  }
+  // A parent of any enumerated node is a regular item (inlined leaves
+  // have no children); the slot address is a fixed offset into it.
   return *reinterpret_cast<const ChildSlot*>(
-      reinterpret_cast<const char*>(ce_->pool().Resolve(PosItem(p))) +
+      reinterpret_cast<const char*>(ce_->pool().Resolve(
+          ItemHandle::FromBits(cur_[static_cast<std::size_t>(ppos)]))) +
       meta.slot_off[pos]);
 }
 
 std::uint64_t ComponentCursor::FirstOf(std::size_t pos) const {
   const auto& meta = ce_->enum_meta();
-  if (meta.absorbable[pos]) {
-    // The parent of an absorbable position is always a materialized item
-    // (heads are never absorbed themselves).
-    const Item* parent = ce_->pool().Resolve(
-        PosItem(cur_[static_cast<std::size_t>(meta.parent_pos[pos])]));
-    if (parent->run_len != 0) {
-      return RecTag(reinterpret_cast<const char*>(parent) +
-                    meta.parent_rec_off[pos]);
-    }
-  }
   const ChildSlot& slot = SlotOf(pos);
   switch (meta.leaf_kind[pos]) {
     case 1: {
@@ -119,14 +88,15 @@ std::uint64_t ComponentCursor::FirstOf(std::size_t pos) const {
     }
     default:
       DYNCQ_DCHECK(slot.head != 0);  // fit parents: non-empty lists
-      return slot.head << 1;         // head stores ItemHandle bits
+      return slot.head;              // head stores ItemHandle bits
   }
 }
 
 std::uint64_t ComponentCursor::NextOf(std::size_t pos) const {
   if (pos == 0) {
-    const ItemHandle next = ce_->pool().Resolve(PosItem(cur_[0]))->next;
-    return next.bits() == root_end_ ? 0 : ItemPos(next);
+    const ItemHandle next =
+        ce_->pool().Resolve(ItemHandle::FromBits(cur_[0]))->next;
+    return next.bits() == root_end_ ? 0 : next.bits();
   }
   const auto& meta = ce_->enum_meta();
   switch (meta.leaf_kind[pos]) {
@@ -141,8 +111,9 @@ std::uint64_t ComponentCursor::NextOf(std::size_t pos) const {
       return n == 0 ? 0 : PtrPos(SlotOf(pos).index.FindRecord(n));
     }
     default:
-      if (RecTagged(cur_[pos])) return 0;  // absorbed: single child
-      return ItemPos(ce_->pool().Resolve(PosItem(cur_[pos]))->next);
+      return ce_->pool()
+          .Resolve(ItemHandle::FromBits(cur_[pos]))
+          ->next.bits();
   }
 }
 
@@ -155,11 +126,9 @@ void ComponentCursor::Emit(Tuple* out) const {
       // Inlined-leaf record (either stride): the key is word 0.
       out->push_back(static_cast<Value>(
           static_cast<const std::uint64_t*>(PosPtr(cur_[p]))[0]));
-    } else if (RecTagged(cur_[p])) {
-      out->push_back(*reinterpret_cast<const Value*>(
-          RecUntag(cur_[p]) + ComponentEngine::kRunValueOff));
     } else {
-      out->push_back(ce_->pool().Resolve(PosItem(cur_[p]))->value);
+      out->push_back(
+          ce_->pool().Resolve(ItemHandle::FromBits(cur_[p]))->value);
     }
   }
 }
@@ -177,7 +146,7 @@ CursorStatus ComponentCursor::Next(Tuple* out) {
       done_ = true;
       return CursorStatus::kEnd;  // empty (range of the) result
     }
-    cur_[0] = root << 1;
+    cur_[0] = root;
     for (std::size_t mu = 1; mu < cur_.size(); ++mu) {
       cur_[mu] = FirstOf(mu);
     }

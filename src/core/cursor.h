@@ -58,9 +58,9 @@ class ComponentCursor final : public Cursor {
   // Pinned snapshots: root_begin_ is authoritative even when null — the
   // live root slot is never consulted (it may have moved on).
   bool fixed_root_ = false;
-  // Per document position: regular nodes hold (ItemHandle bits << 1) or
-  // a tagged run-record pointer (ptr | 1); inlined-leaf nodes hold the
-  // current index entry / record pointer verbatim.
+  // Per document position: regular nodes hold the current item's
+  // ItemHandle bits; inlined-leaf nodes hold the current index entry /
+  // record pointer verbatim.
   std::vector<std::uint64_t> cur_;
   bool started_ = false;
   bool done_ = false;

@@ -142,16 +142,11 @@ Engine::~Engine() {
 }
 
 Result<std::unique_ptr<Engine>> Engine::Create(const Query& q) {
-  return Create(q, EngineTuning{});
+  return Build(q, nullptr);
 }
 
-Result<std::unique_ptr<Engine>> Engine::Create(const Query& q,
-                                               const EngineTuning& tuning) {
-  return Build(q, nullptr, tuning);
-}
-
-Result<std::unique_ptr<Engine>> Engine::CreateShared(
-    const Query& q, Database* shared, const EngineTuning& tuning) {
+Result<std::unique_ptr<Engine>> Engine::CreateShared(const Query& q,
+                                                     Database* shared) {
   using R = Result<std::unique_ptr<Engine>>;
   DYNCQ_CHECK(shared != nullptr);
   // RelIds in incoming deltas are the shared schema's, so the query's
@@ -162,15 +157,14 @@ Result<std::unique_ptr<Engine>> Engine::CreateShared(
     return R::Error("CreateShared: query schema is not a prefix of the "
                     "shared database's schema");
   }
-  auto engine = Build(q, shared, tuning);
+  auto engine = Build(q, shared);
   if (!engine.ok()) return engine;
   if (shared->NumTuples() > 0) (*engine)->SyncFromStorage();
   return engine;
 }
 
 Result<std::unique_ptr<Engine>> Engine::Build(const Query& q,
-                                              Database* shared,
-                                              const EngineTuning& tuning) {
+                                              Database* shared) {
   if (!IsQHierarchical(q)) {
     return Result<std::unique_ptr<Engine>>::Error(
         "query is not q-hierarchical: " + q.ToString());
@@ -194,7 +188,7 @@ Result<std::unique_ptr<Engine>> Engine::Build(const Query& q,
     }
     if (!comp.head().empty()) engine->has_free_component_ = true;
     engine->components_.push_back(std::make_unique<ComponentEngine>(
-        std::move(comp), std::move(tree.value()), tuning));
+        std::move(comp), std::move(tree.value())));
   }
   return engine;
 }

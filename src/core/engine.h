@@ -30,13 +30,6 @@ class Engine final : public DynamicQueryEngine {
   /// QuerySession (core/session.h) is the strategy-selecting front door.
   [[nodiscard]] static Result<std::unique_ptr<Engine>> Create(const Query& q);
 
-  /// Same, with explicit structural tuning (leaf inlining and path
-  /// compression flags). The default tuning enables both; the override
-  /// exists for the differential tests that prove the transformations
-  /// are pure representation changes.
-  [[nodiscard]] static Result<std::unique_ptr<Engine>> Create(const Query& q,
-                                                const EngineTuning& tuning);
-
   /// Preprocessing phase on an initial database: initializes the empty
   /// structure and replays |D0| inserts — linear total time by constant
   /// update time (paper §6.4).
@@ -57,8 +50,7 @@ class Engine final : public DynamicQueryEngine {
   /// owns the write order. Writers drive the engine with
   /// PrepareSharedWrite + ApplySharedDelta(s) instead.
   [[nodiscard]] static Result<std::unique_ptr<Engine>> CreateShared(
-      const Query& q, Database* shared,
-      const EngineTuning& tuning = EngineTuning{});
+      const Query& q, Database* shared);
 
   ~Engine() override;  // joins the shard worker pool, if one was started
 
@@ -203,8 +195,7 @@ class Engine final : public DynamicQueryEngine {
 
   /// Common factory body behind Create / CreateShared.
   [[nodiscard]] static Result<std::unique_ptr<Engine>> Build(const Query& q,
-                                               Database* shared,
-                                               const EngineTuning& tuning);
+                                               Database* shared);
 
   /// The engine's snapshot payload: one ComponentSnapshot per component.
   /// Defined in engine.cc; befriended so it can disarm the fork flag and

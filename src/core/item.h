@@ -35,8 +35,7 @@ namespace dyncq::core {
 
 struct Item;
 
-/// Shared by the item-block and run-record layout computations (the pool
-/// and the engine derive the same layout independently and cross-check).
+/// Rounds `n` up to a multiple of `a` (item-block sizing).
 constexpr std::size_t AlignUp(std::size_t n, std::size_t a) {
   return (n + a - 1) / a * a;
 }
@@ -68,13 +67,6 @@ struct Item {
   ItemHandle prev;    // intrusive links within the parent's fit-list
   ItemHandle next;
   bool in_list = false;
-
-  // Path compression (fanout-1 q-tree nodes): 1 while this item absorbs
-  // its single child item into its own block's run record — the child's
-  // value, counts, weights, and child slots live at a fixed offset behind
-  // this item's own slots, and no child Item is allocated. 0 otherwise.
-  // See ComponentEngine's run-record helpers for the split/merge rules.
-  std::uint8_t run_len = 0;
 
   std::uint32_t node = 0;  // q-tree node index
   Value value = 0;         // own constant a

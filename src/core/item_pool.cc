@@ -10,26 +10,17 @@
 namespace dyncq::core {
 
 ItemPool::ItemPool(std::vector<std::size_t> num_children,
-                   std::vector<std::size_t> num_atoms,
-                   std::vector<std::size_t> extra_bytes)
+                   std::vector<std::size_t> num_atoms)
     : num_children_(std::move(num_children)),
       num_atoms_(std::move(num_atoms)) {
   DYNCQ_CHECK(num_children_.size() == num_atoms_.size());
-  DYNCQ_CHECK(extra_bytes.empty() ||
-              extra_bytes.size() == num_atoms_.size());
   slot_size_.resize(num_children_.size());
   size_class_.resize(num_children_.size());
   std::uint32_t max_cls = 0;
   for (std::size_t n = 0; n < num_children_.size(); ++n) {
-    std::size_t sz = ItemSlotsOffset(num_atoms_[n]) +
-                     num_children_[n] * sizeof(ChildSlot);
-    if (!extra_bytes.empty() && extra_bytes[n] != 0) {
-      // Run-record region: 16-aligned (it leads with a Weight) and fully
-      // behind the node's own arrays. Alloc's memset leaves it all-zero,
-      // which is the valid "no absorbed child" state.
-      sz = AlignUp(sz, 16) + extra_bytes[n];
-    }
-    slot_size_[n] = AlignUp(sz, alignof(Item));
+    slot_size_[n] = AlignUp(ItemSlotsOffset(num_atoms_[n]) +
+                                num_children_[n] * sizeof(ChildSlot),
+                            alignof(Item));
     // Slab payloads are pow2-rounded so emptied blocks are reusable
     // across nodes of the same class.
     size_class_[n] = static_cast<std::uint32_t>(

@@ -55,13 +55,9 @@ class ItemPool {
   static constexpr std::size_t kItemsPerBlock = 64;
 
   /// `num_children[n]` and `num_atoms[n]` give the array sizes for items
-  /// of q-tree node n; `extra_bytes[n]` (empty = all zero) reserves a
-  /// 16-aligned run-record region behind the child slots for nodes whose
-  /// items may absorb their single child (path compression). Starts with
-  /// one stripe (the sequential path).
+  /// of q-tree node n. Starts with one stripe (the sequential path).
   ItemPool(std::vector<std::size_t> num_children,
-           std::vector<std::size_t> num_atoms,
-           std::vector<std::size_t> extra_bytes = {});
+           std::vector<std::size_t> num_atoms);
   ~ItemPool();
 
   ItemPool(const ItemPool&) = delete;
@@ -72,11 +68,6 @@ class ItemPool {
   void EnsureStripes(std::size_t k);
 
   std::size_t num_stripes() const { return stripes_.size(); }
-
-  /// Full slot size of node `n`'s items (header + arrays + any run
-  /// record region). Lets the engine cross-check its independently
-  /// computed record offsets against what the pool actually allocates.
-  std::size_t block_size(std::uint32_t n) const { return slot_size_[n]; }
 
   /// Allocates a zero-initialized item for node `n` from `stripe`, with
   /// `self` stamped. Thread-safe across DISTINCT stripes only.
