@@ -1,5 +1,8 @@
 #include "core/auto_engine.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "baseline/delta_ivm.h"
 #include "core/engine.h"
 #include "cq/analysis.h"
@@ -22,10 +25,11 @@ std::string ToString(EngineStrategy s) {
   return "?";
 }
 
-EngineChoice CreateMaintainableEngine(const Query& q) {
+EngineChoice CreateMaintainableEngine(const Query& q, Database* shared) {
   EngineChoice choice;
   if (IsQHierarchical(q)) {
-    auto e = Engine::Create(q);
+    auto e = shared == nullptr ? Engine::Create(q)
+                               : Engine::CreateShared(q, shared);
     DYNCQ_CHECK_MSG(e.ok(), e.error());
     choice.engine = std::move(e.value());
     choice.strategy = EngineStrategy::kQTree;
@@ -36,7 +40,8 @@ EngineChoice CreateMaintainableEngine(const Query& q) {
   }
   Query core_q = ComputeCore(q);
   if (IsQHierarchical(core_q)) {
-    auto e = Engine::Create(core_q);
+    auto e = shared == nullptr ? Engine::Create(core_q)
+                               : Engine::CreateShared(core_q, shared);
     DYNCQ_CHECK_MSG(e.ok(), e.error());
     choice.engine = std::move(e.value());
     choice.strategy = EngineStrategy::kQTreeOnCore;
@@ -46,7 +51,22 @@ EngineChoice CreateMaintainableEngine(const Query& q) {
         "database";
     return choice;
   }
-  choice.engine = std::make_unique<baseline::DeltaIvmEngine>(q);
+  auto ivm = std::make_unique<baseline::DeltaIvmEngine>(q);
+  if (shared != nullptr && shared->NumTuples() > 0) {
+    // Private storage: replay the shared contents of the query's own
+    // relations only (the shared database may hold many foreign ones).
+    std::vector<RelId> rels;
+    UpdateStream replay;
+    for (const Atom& a : q.atoms()) {
+      if (std::find(rels.begin(), rels.end(), a.rel) != rels.end()) continue;
+      rels.push_back(a.rel);
+      for (const Tuple& t : shared->relation(a.rel)) {
+        replay.push_back(UpdateCmd::Insert(a.rel, t));
+      }
+    }
+    ivm->ApplyAll(replay);
+  }
+  choice.engine = std::move(ivm);
   choice.strategy = EngineStrategy::kDeltaIvm;
   choice.rationale =
       "core is not q-hierarchical: no O(1)-update algorithm exists "

@@ -16,6 +16,7 @@
 
 #include "core/engine_iface.h"
 #include "cq/query.h"
+#include "storage/database.h"
 
 namespace dyncq::core {
 
@@ -35,8 +36,16 @@ struct EngineChoice {
 };
 
 /// Never fails: every CQ gets a maintenance engine; the strategy records
-/// which guarantees apply.
-EngineChoice CreateMaintainableEngine(const Query& q);
+/// which guarantees apply. `engine->query()` is the query the engine
+/// maintains (the core for kQTreeOnCore).
+///
+/// With `shared` set (serve/query_registry.h) the q-tree strategies run
+/// in shared-storage mode (Engine::CreateShared) against `*shared`, and
+/// the delta-IVM fallback keeps a private projection of the query's
+/// relations, synced from the shared contents. `q`'s schema must then be
+/// a prefix of `shared`'s.
+EngineChoice CreateMaintainableEngine(const Query& q,
+                                      Database* shared = nullptr);
 
 }  // namespace dyncq::core
 

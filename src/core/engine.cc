@@ -232,6 +232,12 @@ void Engine::Preload(const Database& initial) {
     c->ReserveRoot(initial.ActiveDomainSize());
   }
   ApplyBatch(stream);
+  // The replay sized the batch scratch (and the fold's index list) for
+  // |D0|; steady-state batches are far smaller, so release it.
+  pending_.clear();
+  pending_.shrink_to_fit();
+  kept_.clear();
+  kept_.shrink_to_fit();
 }
 
 void Engine::SyncFromStorage() {
@@ -257,10 +263,7 @@ void Engine::SyncFromStorage() {
   for (const auto& [r, t] : base) {
     pending_.push_back(PendingDelta{r, &t, true});
   }
-  BumpRevision();
-  for (const auto& c : components_) {
-    c->ApplyBatch(pending_.data(), pending_.size());
-  }
+  ApplySharedDeltas(pending_.data(), pending_.size());
   pending_.clear();  // drop dangling borrows of `base`
 }
 
@@ -270,7 +273,6 @@ void Engine::PrepareSharedWrite() {
 }
 
 void Engine::ApplySharedDelta(const PendingDelta& d) {
-  DYNCQ_DCHECK(owned_db_ == nullptr);
   for (int c : comps_of_rel_[d.rel]) {
     components_[static_cast<std::size_t>(c)]->PrefetchWalk(d.rel, *d.tuple);
   }
@@ -285,11 +287,38 @@ void Engine::ApplySharedDelta(const PendingDelta& d) {
   }
 }
 
-void Engine::ApplySharedDeltas(const PendingDelta* deltas, std::size_t n) {
-  DYNCQ_DCHECK(owned_db_ == nullptr);
+void Engine::ApplySharedDeltas(const PendingDelta* deltas, std::size_t n,
+                               const BatchOptions& opts) {
   if (n == 0) return;
   BumpRevision();
-  for (const auto& c : components_) c->ApplyBatch(deltas, n);
+  // Every component sees the full effective list; deltas whose relation
+  // has no atom in a component are skipped inside its per-atom routing.
+  const std::size_t k = opts.shards;
+  if (k <= 1) {
+    for (const auto& c : components_) c->ApplyBatch(deltas, n);
+    return;
+  }
+
+  // Sharded path: route + root pre-creation on this thread, then one
+  // worker per shard runs phase A and the merge-free per-shard phase B
+  // across ALL components (component structures are disjoint), and the
+  // deferred root-level fix-ups replay sequentially after the join.
+  // While the shard protocol is in flight the structure is mid-mutation
+  // across threads, so CaptureSnapshot refuses pins (scope-guarded in
+  // case a worker throws).
+  struct BatchOpenGuard {
+    bool& flag;
+    ~BatchOpenGuard() { flag = false; }
+  } batch_open_guard{sharded_batch_open_};
+  sharded_batch_open_ = true;
+  for (const auto& c : components_) c->BeginShardedBatch(deltas, n, k);
+  if (shard_pool_ == nullptr || shard_pool_->size() != k) {
+    shard_pool_ = std::make_unique<ShardPool>(k);
+  }
+  shard_pool_->Run([this](std::size_t s) {
+    for (const auto& c : components_) c->RunShard(s);
+  });
+  for (const auto& c : components_) c->FinishShardedBatch();
 }
 
 void Engine::ForkIfPinned() {
@@ -428,10 +457,9 @@ bool Engine::Apply(const UpdateCmd& cmd) {
   DYNCQ_CHECK_MSG(owned_db_ != nullptr,
                   "Apply: shared-storage engines are fed through their "
                   "registry's write protocol");
-  // Pinned version bookkeeping first: the fork must see the pre-update
-  // database, and reclamation piggybacks on the write path.
-  ForkIfPinned();
-  MaybeReclaimRetired();
+  // The owned engine is the storage step wrapped around the one write
+  // protocol: prologue, the database apply, the effective delta.
+  PrepareSharedWrite();
   // Latency pipeline: the update walk's dependent cache accesses (root
   // item, then deeper items) are requested in stages that overlap the
   // database's own hash work, so serial misses become parallel ones.
@@ -440,18 +468,8 @@ bool Engine::Apply(const UpdateCmd& cmd) {
                                                             cmd.tuple);
   }
   if (!db_->Apply(cmd)) return false;  // no-op update
-  BumpRevision();
-  for (int c : comps_of_rel_[cmd.rel]) {
-    components_[static_cast<std::size_t>(c)]->PrefetchWalk(cmd.rel,
-                                                           cmd.tuple);
-  }
-  for (int c : comps_of_rel_[cmd.rel]) {
-    if (cmd.kind == UpdateKind::kInsert) {
-      components_[static_cast<std::size_t>(c)]->OnInsert(cmd.rel, cmd.tuple);
-    } else {
-      components_[static_cast<std::size_t>(c)]->OnDelete(cmd.rel, cmd.tuple);
-    }
-  }
+  ApplySharedDelta(
+      PendingDelta{cmd.rel, &cmd.tuple, cmd.kind == UpdateKind::kInsert});
   return true;
 }
 
@@ -460,68 +478,25 @@ std::size_t Engine::ApplyBatch(std::span<const UpdateCmd> cmds,
   DYNCQ_CHECK_MSG(owned_db_ != nullptr,
                   "ApplyBatch: shared-storage engines are fed through their "
                   "registry's write protocol");
-  ForkIfPinned();  // before the db applies — the fork replays the pre-batch db
-  MaybeReclaimRetired();
-  pending_.clear();
-  pending_.reserve(cmds.size());
-  constexpr std::size_t kLookahead = 8;
+  PrepareSharedWrite();  // the fork must replay the pre-batch database
   // In-batch fold: commands superseded by a later command on the same
   // tuple never reach the database — an inverse insert/delete pair's
   // dropped half costs zero relation probes. After the fold each tuple
   // appears at most once in the effective list.
-  if (folder_.Fold(cmds, &kept_)) {
-    for (std::size_t i = 0; i < kept_.size(); ++i) {
-      if (i + kLookahead < kept_.size()) {
-        db_->Prefetch(cmds[kept_[i + kLookahead]]);
-      }
-      const UpdateCmd& cmd = cmds[kept_[i]];
-      if (!db_->Apply(cmd)) continue;  // no-op, absorbed
-      pending_.push_back(PendingDelta{cmd.rel, &cmd.tuple,
-                                      cmd.kind == UpdateKind::kInsert});
+  folder_.Fold(cmds, &kept_);
+  pending_.clear();
+  pending_.reserve(kept_.size());
+  constexpr std::size_t kLookahead = 8;
+  for (std::size_t i = 0; i < kept_.size(); ++i) {
+    if (i + kLookahead < kept_.size()) {
+      db_->Prefetch(cmds[kept_[i + kLookahead]]);
     }
-  } else {
-    for (std::size_t i = 0; i < cmds.size(); ++i) {
-      if (i + kLookahead < cmds.size()) db_->Prefetch(cmds[i + kLookahead]);
-      const UpdateCmd& cmd = cmds[i];
-      if (!db_->Apply(cmd)) continue;  // no-op, absorbed
-      pending_.push_back(PendingDelta{cmd.rel, &cmd.tuple,
-                                      cmd.kind == UpdateKind::kInsert});
-    }
+    const UpdateCmd& cmd = cmds[kept_[i]];
+    if (!db_->Apply(cmd)) continue;  // no-op, absorbed
+    pending_.push_back(
+        PendingDelta{cmd.rel, &cmd.tuple, cmd.kind == UpdateKind::kInsert});
   }
-  if (pending_.empty()) return 0;
-  BumpRevision();
-  // Every component sees the full effective list; deltas whose relation
-  // has no atom in a component are skipped inside its per-atom routing.
-  const std::size_t k = opts.shards;
-  if (k <= 1) {
-    for (const auto& c : components_) {
-      c->ApplyBatch(pending_.data(), pending_.size());
-    }
-    return pending_.size();
-  }
-
-  // Sharded path: route + root pre-creation on this thread, then one
-  // worker per shard runs phase A and the merge-free per-shard phase B
-  // across ALL components (component structures are disjoint), and the
-  // deferred root-level fix-ups replay sequentially after the join.
-  // While the shard protocol is in flight the structure is mid-mutation
-  // across threads, so CaptureSnapshot refuses pins (scope-guarded in
-  // case a worker throws).
-  struct BatchOpenGuard {
-    bool& flag;
-    ~BatchOpenGuard() { flag = false; }
-  } batch_open_guard{sharded_batch_open_};
-  sharded_batch_open_ = true;
-  for (const auto& c : components_) {
-    c->BeginShardedBatch(pending_.data(), pending_.size(), k);
-  }
-  if (shard_pool_ == nullptr || shard_pool_->size() != k) {
-    shard_pool_ = std::make_unique<ShardPool>(k);
-  }
-  shard_pool_->Run([this](std::size_t s) {
-    for (const auto& c : components_) c->RunShard(s);
-  });
-  for (const auto& c : components_) c->FinishShardedBatch();
+  ApplySharedDeltas(pending_.data(), pending_.size(), opts);
   return pending_.size();
 }
 

@@ -47,8 +47,8 @@ class Engine final : public DynamicQueryEngine {
   ///
   /// In this mode the single-owner write paths (Apply / ApplyBatch /
   /// Preload of a foreign database) are misuse and throw: the registry
-  /// owns the write order. Writers drive the engine with
-  /// PrepareSharedWrite + ApplySharedDelta(s) instead.
+  /// owns the write order and the storage step. Writers drive the engine
+  /// with PrepareSharedWrite + ApplySharedDelta(s) instead.
   [[nodiscard]] static Result<std::unique_ptr<Engine>> CreateShared(
       const Query& q, Database* shared);
 
@@ -76,18 +76,16 @@ class Engine final : public DynamicQueryEngine {
     return caps;
   }
 
+  /// Owned-storage update: the storage step (the engine's own
+  /// Database::Apply) wrapped in the write protocol below —
+  /// PrepareSharedWrite, the apply, then ApplySharedDelta.
   bool Apply(const UpdateCmd& cmd) override;
 
-  /// Batched update pipeline: folds commands superseded within the batch
-  /// (BatchFolder — in-batch inverse pairs cost zero relation probes),
-  /// dedups the remaining no-ops through the database's set semantics,
-  /// bumps the revision once, and hands every component the effective
-  /// deltas. With `opts.shards == 1` the components run the sequential
-  /// shared-descent pass (the deterministic fallback); with `k > 1` the
-  /// phase-A descents are routed by root value onto `k` worker threads
-  /// with a merge-free per-shard phase B (see ComponentEngine's sharded
-  /// protocol) — equivalent final state, thread-count-dependent fit-list
-  /// order.
+  /// Owned-storage batch: PrepareSharedWrite, then the storage step —
+  /// fold commands superseded within the batch (BatchFolder: in-batch
+  /// inverse pairs cost zero relation probes) and apply the survivors,
+  /// dropping no-ops through the database's set semantics — then
+  /// ApplySharedDeltas(effective deltas, opts).
   std::size_t ApplyBatch(std::span<const UpdateCmd> cmds,
                          const BatchOptions& opts) override;
   std::size_t ApplyBatch(std::span<const UpdateCmd> cmds) override {
@@ -102,23 +100,26 @@ class Engine final : public DynamicQueryEngine {
   /// relations while inserting into them.
   void Preload(const Database& initial) override;
 
-  // ---- shared-storage write protocol (CreateShared engines) ----------
+  // ---- the write protocol ---------------------------------------------
   //
-  // The owner of the shared Database applies each update once and drives
-  // every affected engine through these three calls, in this order:
+  // The engine's only write protocol. The storage owner — a registry
+  // for CreateShared engines, Apply / ApplyBatch above for Create
+  // engines — drives every affected engine through it, in this order:
   //
   //   1. PrepareSharedWrite()   on each affected engine — BEFORE the
   //      database mutates (a pinned snapshot forks by rebuilding from
-  //      the pre-update database);
-  //   2. the one Database::Apply;
+  //      the pre-update database). A batch runs all of them before its
+  //      first storage write, so a failed fork leaves nothing mutated;
+  //   2. Database::Apply of each update, once;
   //   3. ApplySharedDelta / ApplySharedDeltas on each affected engine
   //      with the effective deltas (no-ops filtered by step 2).
   //
   // The tuples PendingDelta borrows must outlive the call.
 
   /// Pinned-version bookkeeping that must precede a mutation of the
-  /// shared database: fork any armed snapshot off the pre-update state
-  /// and reclaim retired blocks.
+  /// database: fork any armed snapshot off the pre-update state and
+  /// reclaim retired blocks. The one caller of ForkIfPinned and
+  /// MaybeReclaimRetired.
   void PrepareSharedWrite();
 
   /// Routes one effective delta to the affected components (the
@@ -126,8 +127,15 @@ class Engine final : public DynamicQueryEngine {
   void ApplySharedDelta(const PendingDelta& d);
 
   /// Batched variant: one revision bump, then every component sees the
-  /// full effective list through its batch pipeline.
-  void ApplySharedDeltas(const PendingDelta* deltas, std::size_t n);
+  /// full effective list through its batch pipeline. With
+  /// `opts.shards == 1` the components run the sequential shared-descent
+  /// pass (the deterministic fallback); with `k > 1` the phase-A
+  /// descents are routed by root value onto `k` worker threads with a
+  /// merge-free per-shard phase B (see ComponentEngine's sharded
+  /// protocol) — equivalent final state, thread-count-dependent fit-list
+  /// order.
+  void ApplySharedDeltas(const PendingDelta* deltas, std::size_t n,
+                         const BatchOptions& opts = {});
 
   /// Builds the structure from the shared database's current contents
   /// (the preprocessing phase when registration finds data already
@@ -167,9 +175,9 @@ class Engine final : public DynamicQueryEngine {
   std::size_t RetiredBlocks() const;
 
   /// Forces the "sharded batch open" flag CaptureSnapshot rejects pins
-  /// under. The real flag is only ever set transiently inside ApplyBatch
-  /// (pins are externally synchronized with writes), so tests use this
-  /// to exercise the misuse error.
+  /// under. The real flag is only ever set transiently inside
+  /// ApplySharedDeltas (pins are externally synchronized with writes), so
+  /// tests use this to exercise the misuse error.
   void SetShardedBatchOpenForTest(bool open) { sharded_batch_open_ = open; }
 
  protected:
@@ -205,10 +213,10 @@ class Engine final : public DynamicQueryEngine {
 
   /// Freezes the armed pinned version (if any) by detaching every
   /// component's forest into it and rebuilding the live structures from
-  /// the pre-update database. Runs at the top of Apply/ApplyBatch,
-  /// BEFORE the database mutates. Strong exception safety: a thrown
-  /// bad_alloc rolls the detached forests back and rethrows, leaving
-  /// both the structure and the pinned version intact.
+  /// the pre-update database. Runs inside PrepareSharedWrite, BEFORE the
+  /// database mutates. Strong exception safety: a thrown bad_alloc rolls
+  /// the detached forests back and rethrows, leaving both the structure
+  /// and the pinned version intact.
   void ForkIfPinned();
 
   /// Returns retired blocks older than the oldest pinned epoch to the
@@ -216,8 +224,8 @@ class Engine final : public DynamicQueryEngine {
   void MaybeReclaimRetired();
 
   /// Persistent shard workers: parked between batches so a sharded
-  /// ApplyBatch pays a wakeup, not k thread spawns. Lazily started by
-  /// the first `shards > 1` batch and resized if `shards` changes.
+  /// ApplySharedDeltas pays a wakeup, not k thread spawns. Lazily started
+  /// by the first `shards > 1` batch and resized if `shards` changes.
   class ShardPool;
 
   /// Cursor for one component (range-restricted at the pivot).
@@ -252,10 +260,11 @@ class Engine final : public DynamicQueryEngine {
   // before dereferencing a pointer a reader thread may disarm.
   std::atomic<bool> fork_armed_{false};
   CoreVersion* armed_version_ DYNCQ_GUARDED_BY(snap_mu_) = nullptr;
-  // Writer-thread-only (set transiently inside a sharded ApplyBatch;
-  // pins are externally synchronized with writes, so CaptureSnapshot —
-  // which runs under snap_mu_ on the writer's call stack — reads it
-  // race-free). Not a lock contract, hence no annotation: TSan owns it.
+  // Writer-thread-only (set transiently inside a sharded
+  // ApplySharedDeltas; pins are externally synchronized with writes, so
+  // CaptureSnapshot — which runs under snap_mu_ on the writer's call
+  // stack — reads it race-free). Not a lock contract, hence no
+  // annotation: TSan owns it.
   bool sharded_batch_open_ = false;
 };
 

@@ -193,23 +193,30 @@ void DynamicQueryEngine::ClearSnapshotRegistry() {
   snaps_.clear();
 }
 
+Result<std::vector<Tuple>> DrainChecked(Cursor& cursor, Weight count,
+                                        const char* invalidated_error) {
+  using R = Result<std::vector<Tuple>>;
+  std::vector<Tuple> out;
+  out.reserve(BoundedReserveFromCount(count));
+  Tuple t;
+  CursorStatus s;
+  while ((s = cursor.Next(&t)) == CursorStatus::kOk) out.push_back(t);
+  if (s == CursorStatus::kInvalidated) return R::Error(invalidated_error);
+  return R(std::move(out));
+}
+
 Result<std::shared_ptr<EngineSnapshot>> DynamicQueryEngine::CaptureSnapshot() {
   using R = Result<std::shared_ptr<EngineSnapshot>>;
   DYNCQ_ALLOC_FAILPOINT();
   // Materialize-on-pin: the pin costs one full drain, after which the
   // snapshot is self-contained (no retire lists, no write-path hooks).
-  std::vector<Tuple> tuples;
-  tuples.reserve(BoundedReserveFromCount(Count()));
-  auto cursor = NewCursor();
-  Tuple t;
-  CursorStatus s;
-  while ((s = cursor->Next(&t)) == CursorStatus::kOk) tuples.push_back(t);
-  if (s == CursorStatus::kInvalidated) {
-    return R::Error(
-        "PinEpoch: result changed while materializing the snapshot (pins "
-        "must be synchronized with writes)");
-  }
-  return R(std::make_shared<VectorSnapshot>(std::move(tuples)));
+  const Weight count = Count();
+  Result<std::vector<Tuple>> tuples = DrainChecked(
+      *NewCursor(), count,
+      "PinEpoch: result changed while materializing the snapshot (pins "
+      "must be synchronized with writes)");
+  if (!tuples.ok()) return tuples.status();
+  return R(std::make_shared<VectorSnapshot>(std::move(tuples.value())));
 }
 
 Result<std::unique_ptr<Cursor>> DynamicQueryEngine::MakeSnapshotCursor(

@@ -169,15 +169,10 @@ class DynamicQueryEngine {
     (void)opts;  // fallback engines have no sharded pipeline
     BatchFolder folder;
     std::vector<std::uint32_t> kept;
+    folder.Fold(cmds, &kept);
     std::size_t effective = 0;
-    if (folder.Fold(cmds, &kept)) {
-      for (std::uint32_t i : kept) {
-        if (Apply(cmds[i])) ++effective;
-      }
-    } else {
-      for (const UpdateCmd& cmd : cmds) {
-        if (Apply(cmd)) ++effective;
-      }
+    for (std::uint32_t i : kept) {
+      if (Apply(cmds[i])) ++effective;
     }
     return effective;
   }
@@ -405,6 +400,12 @@ inline std::size_t BoundedReserveFromCount(Weight n) {
 /// Drains a fresh cursor into a vector reserved from Count() up front
 /// (testing/benchmark helper).
 std::vector<Tuple> MaterializeResult(DynamicQueryEngine& engine);
+
+/// Drains `cursor` into a vector reserved from `count` up front. A
+/// kInvalidated step (the result moved mid-drain) becomes the typed
+/// error `invalidated_error`, so each caller keeps its own message.
+[[nodiscard]] Result<std::vector<Tuple>> DrainChecked(
+    Cursor& cursor, Weight count, const char* invalidated_error);
 
 }  // namespace dyncq
 

@@ -89,26 +89,12 @@ Result<std::unique_ptr<Cursor>> QuerySession::NewCursor(
 
 Result<std::vector<Tuple>> QuerySession::Materialize(
     const CursorOptions& opts) {
-  using R = Result<std::vector<Tuple>>;
-  std::unique_ptr<Cursor> c;
-  if (opts.snapshot) {
-    auto sc = NewCursor(opts);
-    if (!sc.ok()) return sc.status();
-    c = std::move(sc.value());
-  } else {
-    c = engine_->NewCursor();
-  }
-  std::vector<Tuple> out;
-  out.reserve(BoundedReserveFromCount(engine_->Count()));
-  Tuple t;
-  CursorStatus s;
-  while ((s = c->Next(&t)) == CursorStatus::kOk) out.push_back(t);
-  if (s == CursorStatus::kInvalidated) {
-    return R::Error(
-        "Materialize: result changed mid-drain (cursor invalidated); "
-        "re-run, or use CursorOptions{.snapshot = true}");
-  }
-  return R(std::move(out));
+  auto c = NewCursor(opts);
+  if (!c.ok()) return c.status();
+  return DrainChecked(
+      **c, engine_->Count(),
+      "Materialize: result changed mid-drain (cursor invalidated); "
+      "re-run, or use CursorOptions{.snapshot = true}");
 }
 
 Result<std::vector<Tuple>> QuerySession::ParallelMaterialize(

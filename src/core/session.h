@@ -110,13 +110,15 @@ class UpdateBatch {
 ///
 /// Ownership note: a session's engine owns a PRIVATE Database — the
 /// session is the sole writer and `db()` reflects exactly the updates
-/// applied through it. This single-owner shape is a convenience, not an
-/// engine requirement: to serve MANY standing queries over one shared
+/// applied through it. A q-tree engine's owned-storage Apply/ApplyBatch
+/// is only the storage step around the engine's one write protocol
+/// (core/engine.h); to serve MANY standing queries over one shared
 /// Database (storage stored once, deltas fanned out only to affected
 /// engines, structurally identical queries deduplicated behind one
 /// engine), register them with a serve::QueryRegistry instead, which
-/// drives shared-storage engines (core::Engine::CreateShared) through
-/// its write protocol.
+/// runs the same dichotomy with shared storage and drives that protocol
+/// itself. The session stays single-query on purpose: as a one-query
+/// registry its delta-IVM fallback would store every tuple twice.
 class QuerySession {
  public:
   /// Opens a session on an empty database.

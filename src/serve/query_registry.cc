@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "baseline/delta_ivm.h"
-#include "cq/analysis.h"
 #include "cq/canonical.h"
-#include "cq/homomorphism.h"
 #include "util/check.h"
 
 namespace dyncq::serve {
@@ -51,47 +48,16 @@ Result<QueryHandle> QueryRegistry::Register(const Query& q) {
 
   auto entry = std::make_unique<Entry>(q);
   entry->key = key;
-  // The engine dichotomy (mirrors core::CreateMaintainableEngine, but
-  // q-hierarchical strategies run in shared-storage mode against the
-  // registry's database).
-  if (IsQHierarchical(q)) {
-    auto eng = core::Engine::CreateShared(q, &db_);
-    DYNCQ_CHECK_MSG(eng.ok(), eng.error());
-    entry->shared = eng->get();
-    entry->engine = std::move(eng.value());
-    entry->strategy = core::EngineStrategy::kQTree;
-    AddPostings(entry.get(), q);
-  } else {
-    Query core_q = ComputeCore(q);
-    if (IsQHierarchical(core_q)) {
-      auto eng = core::Engine::CreateShared(core_q, &db_);
-      DYNCQ_CHECK_MSG(eng.ok(), eng.error());
-      entry->shared = eng->get();
-      entry->engine = std::move(eng.value());
-      entry->strategy = core::EngineStrategy::kQTreeOnCore;
-      // Route by the CORE's relations: the core is equivalent to q on
-      // every database, so deltas on relations only the redundant atoms
-      // mention cannot change the maintained result.
-      AddPostings(entry.get(), core_q);
-    } else {
-      // Conditionally hard query: delta-IVM fallback with private
-      // storage, synced by replaying the shared database's current
-      // contents of the query's relations.
-      auto ivm = std::make_unique<baseline::DeltaIvmEngine>(q);
-      AddPostings(entry.get(), q);
-      if (db_.NumTuples() > 0) {
-        UpdateStream replay;
-        for (RelId r : entry->rels) {
-          for (const Tuple& t : db_.relation(r)) {
-            replay.push_back(UpdateCmd::Insert(r, t));
-          }
-        }
-        ivm->ApplyAll(replay);
-      }
-      entry->engine = std::move(ivm);
-      entry->strategy = core::EngineStrategy::kDeltaIvm;
-    }
-  }
+  // The engine dichotomy, with the q-tree strategies in shared-storage
+  // mode against the registry's database.
+  core::EngineChoice choice = core::CreateMaintainableEngine(q, &db_);
+  entry->engine = std::move(choice.engine);
+  entry->strategy = choice.strategy;
+  entry->shared = dynamic_cast<core::Engine*>(entry->engine.get());
+  // Route by the MAINTAINED query's relations: for kQTreeOnCore that is
+  // the core, which is equivalent to q on every database, so deltas on
+  // relations only the redundant atoms mention cannot change the result.
+  AddPostings(entry.get(), entry->engine->query());
 
   Entry* e = entry.get();
   e->refs = 1;
@@ -175,59 +141,57 @@ bool QueryRegistry::ApplyDelta(const UpdateCmd& cmd) {
   return true;
 }
 
-void QueryRegistry::ApplyOneLocked(const UpdateCmd& cmd, std::uint64_t stamp,
-                                   std::size_t* effective) {
-  DYNCQ_CHECK_MSG(cmd.rel < by_rel_.size(),
-                  "ApplyBatch: relation id outside the registry schema");
-  auto& subs = by_rel_[cmd.rel];
-  // Write prologue before the FIRST mutation of any relation an
-  // engine subscribes to: at that point the database still matches
-  // the engine's pre-batch structure (earlier commands in this batch
-  // touched only relations it does not read), so a pinned fork
-  // rebuilds the correct version. ForkIfPinned self-disarms, making
-  // repeats cheap, but the stamp also bounds bookkeeping to once per
-  // engine per batch.
-  for (Entry* e : subs) {
-    if (e->batch_stamp != stamp) {
-      e->batch_stamp = stamp;
-      e->pending.clear();
-      touched_.push_back(e);
-      if (e->shared != nullptr) e->shared->PrepareSharedWrite();
-    }
-  }
-  if (!db_.Apply(cmd)) return;  // no-op, absorbed
-  ++*effective;
-  ++stats_.deltas_applied;
-  for (Entry* e : subs) {
-    ++stats_.notifications;
-    if (e->shared != nullptr) {
-      // Queued for the engine's batch pipeline; borrows the caller's
-      // tuple storage, which outlives this call.
-      e->pending.push_back(core::PendingDelta{
-          cmd.rel, &cmd.tuple, cmd.kind == UpdateKind::kInsert});
-    } else {
-      e->engine->Apply(cmd);  // fallback: ordered per-command replay
-    }
-  }
-}
-
 std::size_t QueryRegistry::ApplyBatch(std::span<const UpdateCmd> cmds) {
   util::MutexLock lock(&mu_);
   const std::uint64_t stamp = ++batch_seq_;
   touched_.clear();
-  std::size_t effective = 0;
-
   // Same in-batch fold as the engines (storage/update.h): superseded
   // commands never reach storage or any subscriber, and the effective
   // count stays comparable with the single-session pipelines.
-  if (folder_.Fold(cmds, &kept_)) {
-    for (std::uint32_t i : kept_) ApplyOneLocked(cmds[i], stamp, &effective);
-  } else {
-    for (const UpdateCmd& cmd : cmds) ApplyOneLocked(cmd, stamp, &effective);
+  folder_.Fold(cmds, &kept_);
+
+  // Routing pass: every engine the batch touches runs its write
+  // prologue before the FIRST storage write of the batch, so a pinned
+  // fork rebuilds from exactly the pre-batch database, and a fork that
+  // throws (bad_alloc) leaves storage and every engine unmutated.
+  for (std::uint32_t i : kept_) {
+    DYNCQ_CHECK_MSG(cmds[i].rel < by_rel_.size(),
+                    "ApplyBatch: relation id outside the registry schema");
+    for (Entry* e : by_rel_[cmds[i].rel]) {
+      if (e->batch_stamp == stamp) continue;
+      e->batch_stamp = stamp;
+      e->pending.clear();
+      touched_.push_back(e);
+    }
+  }
+  for (Entry* e : touched_) {
+    if (e->shared != nullptr) e->shared->PrepareSharedWrite();
   }
 
+  // Storage pass: apply the survivors once and queue each effective
+  // delta for its subscribers.
+  std::size_t effective = 0;
+  for (std::uint32_t i : kept_) {
+    const UpdateCmd& cmd = cmds[i];
+    if (!db_.Apply(cmd)) continue;  // no-op, absorbed
+    ++effective;
+    ++stats_.deltas_applied;
+    for (Entry* e : by_rel_[cmd.rel]) {
+      ++stats_.notifications;
+      if (e->shared != nullptr) {
+        // Queued for the engine's batch pipeline; borrows the caller's
+        // tuple storage, which outlives this call.
+        e->pending.push_back(core::PendingDelta{
+            cmd.rel, &cmd.tuple, cmd.kind == UpdateKind::kInsert});
+      } else {
+        e->engine->Apply(cmd);  // fallback: ordered per-command replay
+      }
+    }
+  }
+
+  // Flush: one batch pipeline run per touched shared engine.
   for (Entry* e : touched_) {
-    if (e->shared != nullptr && !e->pending.empty()) {
+    if (e->shared != nullptr) {
       e->shared->ApplySharedDeltas(e->pending.data(), e->pending.size());
     }
     e->pending.clear();  // drop dangling borrows of the caller's span
@@ -252,17 +216,9 @@ void QueryHandle::Release() {
 }
 
 Result<std::vector<Tuple>> QueryHandle::Materialize() {
-  using R = Result<std::vector<Tuple>>;
-  std::vector<Tuple> out;
-  out.reserve(BoundedReserveFromCount(Count()));
-  std::unique_ptr<Cursor> cur = NewCursor();
-  Tuple t;
-  CursorStatus s;
-  while ((s = cur->Next(&t)) == CursorStatus::kOk) out.push_back(t);
-  if (s == CursorStatus::kInvalidated) {
-    return R::Error("Materialize: result changed mid-drain");
-  }
-  return R(std::move(out));
+  const Weight count = Count();
+  return DrainChecked(*NewCursor(), count,
+                      "Materialize: result changed mid-drain");
 }
 
 }  // namespace dyncq::serve

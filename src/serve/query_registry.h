@@ -105,10 +105,13 @@ class QueryRegistry {
   /// database changed; no-ops notify nobody.
   bool ApplyDelta(const UpdateCmd& cmd);
 
-  /// Ordered batch replay: folds superseded commands (BatchFolder),
-  /// applies the survivors to storage, and hands each affected engine
-  /// its effective deltas through the batch pipeline (one revision bump
-  /// per engine per batch). Returns the number of effective commands.
+  /// Ordered batch replay: folds superseded commands (BatchFolder), runs
+  /// the write prologue of every engine the batch touches, applies the
+  /// survivors to storage, and hands each affected engine its effective
+  /// deltas through the batch pipeline (one revision bump per engine per
+  /// batch). All prologues run before the first storage write, so a
+  /// failed snapshot fork throws with nothing mutated. Returns the
+  /// number of effective commands.
   std::size_t ApplyBatch(std::span<const UpdateCmd> cmds);
   std::size_t ApplyAll(const UpdateStream& stream) {
     return ApplyBatch(std::span<const UpdateCmd>(stream));
@@ -150,9 +153,12 @@ class QueryRegistry {
     std::string key;
     Query query;  // the registered query (first registrant's copy)
     std::unique_ptr<DynamicQueryEngine> engine;
-    // Non-null iff `engine` is a shared-storage core::Engine — the fast
-    // path driven via PrepareSharedWrite/ApplySharedDelta(s). Fallback
-    // engines (private storage) are driven through plain Apply.
+    // Non-null iff `engine` is a q-tree engine (core::Engine, built by
+    // core::CreateMaintainableEngine in shared-storage mode): it is
+    // driven through the engine's one write protocol, PrepareSharedWrite
+    // → the registry's Database::Apply → ApplySharedDelta(s). The
+    // delta-IVM fallback keeps private storage and is driven through
+    // plain Apply.
     core::Engine* shared = nullptr;
     core::EngineStrategy strategy = core::EngineStrategy::kDeltaIvm;
     std::vector<RelId> rels;  // maintained query's relations, distinct
@@ -167,13 +173,6 @@ class QueryRegistry {
   void Unregister(Entry* e);
   void AddPostings(Entry* e, const Query& maintained) DYNCQ_REQUIRES(mu_);
   void RemovePostings(Entry* e) DYNCQ_REQUIRES(mu_);
-
-  /// One folded batch command: write prologues, the storage apply, and
-  /// per-subscriber queueing. A member function rather than ApplyBatch's
-  /// old local lambda — a lambda body is analyzed as its own function,
-  /// which would hide the held mu_ from the guarded accesses inside.
-  void ApplyOneLocked(const UpdateCmd& cmd, std::uint64_t stamp,
-                      std::size_t* effective) DYNCQ_REQUIRES(mu_);
 
   std::shared_ptr<const Schema> schema_;
   RegistryOptions opts_;

@@ -2,7 +2,9 @@
 #ifndef DYNCQ_STORAGE_UPDATE_H_
 #define DYNCQ_STORAGE_UPDATE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <string>
 #include <vector>
@@ -59,25 +61,25 @@ struct BatchOptions {
 /// contract (core/session.h), not ApplyBatch's.
 class BatchFolder {
  public:
-  /// Computes the per-key final commands of `cmds`. Returns true and
-  /// fills `kept` with the ascending original indices of the surviving
-  /// commands iff at least one command was folded away; returns false
-  /// (leaving `kept` untouched) when nothing folds — callers then apply
-  /// the original span with no indirection. Delete-free batches (bulk
-  /// loads) are recognized in one cheap scan and never pay for the key
-  /// table: without a delete there is no inverse pair, and a duplicate
-  /// insert is absorbed by the relation's own set-semantics probe.
-  bool Fold(std::span<const UpdateCmd> cmds,
-            std::vector<std::uint32_t>* kept) {
-    if (cmds.size() < 2) return false;
-    bool has_delete = false;
-    for (const UpdateCmd& cmd : cmds) {
-      if (cmd.kind == UpdateKind::kDelete) {
-        has_delete = true;
-        break;
-      }
+  /// Computes the per-key final commands of `cmds`: fills `kept` with
+  /// the ascending original indices of the surviving commands (the
+  /// identity list when nothing folds), so every caller runs one storage
+  /// loop over `kept`. Returns the number of commands folded away.
+  /// Delete-free batches (bulk loads) are recognized in one cheap scan
+  /// and never pay for the key table: without a delete there is no
+  /// inverse pair, and a duplicate insert is absorbed by the relation's
+  /// own set-semantics probe.
+  std::size_t Fold(std::span<const UpdateCmd> cmds,
+                   std::vector<std::uint32_t>* kept) {
+    kept->clear();
+    if (cmds.size() < 2 ||
+        std::none_of(cmds.begin(), cmds.end(), [](const UpdateCmd& cmd) {
+          return cmd.kind == UpdateKind::kDelete;
+        })) {
+      kept->resize(cmds.size());
+      std::iota(kept->begin(), kept->end(), std::uint32_t{0});
+      return 0;
     }
-    if (!has_delete) return false;
 
     last_.Clear();
     last_.Reserve(cmds.size());
@@ -96,13 +98,11 @@ class BatchFolder {
         ++dropped;
       }
     }
-    if (dropped == 0) return false;
-    kept->clear();
     kept->reserve(cmds.size() - dropped);
     for (std::size_t i = 0; i < cmds.size(); ++i) {
       if (keep_[i]) kept->push_back(static_cast<std::uint32_t>(i));
     }
-    return true;
+    return dropped;
   }
 
  private:

@@ -6,7 +6,9 @@
 // table intact and retryable, a throwing ChildIndex growth keeps every
 // present key findable, a failed PinEpoch registers no epoch, and a
 // failed snapshot fork rolls the detached forests back so both the live
-// structure and the pinned version survive.
+// structure and the pinned version survive — also when the fork runs in
+// the middle of a registry batch, which must then throw with storage and
+// every engine unmutated.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,6 +20,7 @@
 #include "core/child_index.h"
 #include "core/engine.h"
 #include "core/session.h"
+#include "serve/query_registry.h"
 #include "storage/database.h"
 #include "util/failpoint.h"
 #include "workload/stream_gen.h"
@@ -247,6 +250,70 @@ TEST(FailpointTest, FailedForkRollsBackAndStaysRetryable) {
   for (std::size_t c = 0; c < engine.NumComponents(); ++c) {
     engine.component(c).CheckInvariants();
   }
+}
+
+TEST(FailpointTest, FailedForkInRegistryBatchMutatesNothing) {
+  FailpointGuard guard;
+  // Two engines over one registry database: an unpinned one over U and a
+  // pinned E-T join whose first post-pin write forks.
+  auto schema = std::make_shared<Schema>();
+  const RelId e = schema->AddRelation("E", 2).value();
+  const RelId t = schema->AddRelation("T", 1).value();
+  const RelId u = schema->AddRelation("U", 2).value();
+  serve::QueryRegistry reg(schema);
+  auto hu = reg.Register(MustParse("Q(x, y) :- U(x, y).", schema));
+  auto het = reg.Register(MustParse("Q(x, y) :- E(x, y), T(y).", schema));
+  ASSERT_TRUE(hu.ok()) << hu.error();
+  ASSERT_TRUE(het.ok()) << het.error();
+
+  UpdateStream load;
+  for (Value i = 1; i <= 8; ++i) {
+    load.push_back(UpdateCmd::Insert(u, {i, i + 1}));
+  }
+  reg.ApplyBatch(load);
+  // Enough live items that the fork's rebuild carves fresh pool chunks
+  // (see FailedForkRollsBackAndStaysRetryable).
+  workload::StreamGenerator gen(schema, {.seed = 7, .domain_size = 400});
+  reg.ApplyBatch(gen.TakeFor(e, 1500));
+  reg.ApplyBatch(gen.TakeFor(t, 300));
+  auto pre = het->Materialize();
+  ASSERT_TRUE(pre.ok()) << pre.error();
+  ASSERT_FALSE(pre->empty());
+  auto pin = het->PinEpoch();
+  ASSERT_TRUE(pin.ok()) << pin.error();
+
+  // The U command comes first, so the E-T engine forks after the U
+  // engine's prologue — but still before the batch's first storage write.
+  const UpdateStream batch = {UpdateCmd::Insert(u, {500, 501}),
+                              UpdateCmd::Insert(e, {401, 402})};
+  g_alloc_failpoint.ArmCountdown(1);
+  const std::uint64_t hits_before = g_alloc_failpoint.hits();
+  EXPECT_THROW(reg.ApplyBatch(batch), std::bad_alloc);
+  g_alloc_failpoint.Disarm();
+  ASSERT_GT(g_alloc_failpoint.hits(), hits_before)
+      << "the fork never reached a guarded allocation";
+
+  // Nothing was written, so every engine still matches storage.
+  EXPECT_FALSE(reg.db().relation(u).Contains(Tuple{500, 501}));
+  EXPECT_EQ(hu->Count(), Weight{8});
+  EXPECT_EQ(static_cast<std::size_t>(hu->Count()), reg.db().relation(u).size());
+  EXPECT_FALSE(reg.db().relation(e).Contains(Tuple{401, 402}));
+  EXPECT_TRUE(SameTupleSet(het->Materialize().value(), *pre));
+  EXPECT_TRUE(SameTupleSet(DrainSnapshot(het->engine(), pin.value()), *pre));
+
+  // The retried batch succeeds and reaches both engines.
+  EXPECT_EQ(reg.ApplyBatch(batch), 2u);
+  EXPECT_EQ(hu->Count(), Weight{9});
+  EXPECT_EQ(static_cast<std::size_t>(hu->Count()), reg.db().relation(u).size());
+  EXPECT_TRUE(reg.ApplyDelta(UpdateCmd::Insert(t, Tuple{402})));
+  std::vector<Tuple> expected = *pre;
+  expected.push_back(Tuple{401, 402});
+  EXPECT_TRUE(SameTupleSet(het->Materialize().value(), expected));
+  EXPECT_TRUE(SameTupleSet(DrainSnapshot(het->engine(), pin.value()), *pre));
+
+  EXPECT_TRUE(het->UnpinEpoch(pin.value()).ok());
+  EXPECT_TRUE(het->engine().DropAllSnapshots().ok());
+  EXPECT_EQ(reg.RetiredBlocks(), 0u);
 }
 
 }  // namespace

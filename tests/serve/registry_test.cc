@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -67,6 +68,63 @@ void ExpectSameResult(QueryHandle& h, QuerySession& s, const char* what) {
       << what << ": " << h.query().ToString();
 }
 
+// Pins every session and its handle at the same step and records the
+// result as of the pin; later writes must leave both pinned drains equal
+// to it (each side forks through the engine's one write prologue).
+class HeldPins {
+ public:
+  HeldPins(std::vector<QueryHandle>& handles,
+           std::vector<std::unique_ptr<QuerySession>>& sessions)
+      : handles_(handles), sessions_(sessions) {
+    for (std::size_t i = 0; i < handles_.size(); ++i) {
+      auto want = sessions_[i]->Materialize();
+      EXPECT_TRUE(want.ok()) << want.error();
+      at_pin_.push_back(Sorted(*want));
+      auto he = handles_[i].PinEpoch();
+      auto se = sessions_[i]->PinEpoch();
+      EXPECT_TRUE(he.ok()) << he.error();
+      EXPECT_TRUE(se.ok()) << se.error();
+      handle_epochs_.push_back(*he);
+      session_epochs_.push_back(*se);
+    }
+  }
+
+  ~HeldPins() {
+    for (std::size_t i = 0; i < handles_.size(); ++i) {
+      EXPECT_TRUE(handles_[i].UnpinEpoch(handle_epochs_[i]).ok());
+      EXPECT_TRUE(sessions_[i]->UnpinEpoch(session_epochs_[i]).ok());
+    }
+  }
+
+  void ExpectUnchanged(const char* what) {
+    for (std::size_t i = 0; i < handles_.size(); ++i) {
+      const std::vector<Tuple> got =
+          Drain(handles_[i].NewSnapshotCursor(handle_epochs_[i]));
+      const std::vector<Tuple> want =
+          Drain(sessions_[i]->NewSnapshotCursor(session_epochs_[i]));
+      ASSERT_EQ(got, want) << what << ": " << handles_[i].query().ToString();
+      ASSERT_EQ(got, at_pin_[i])
+          << what << ": " << handles_[i].query().ToString();
+    }
+  }
+
+ private:
+  static std::vector<Tuple> Drain(
+      const Result<std::unique_ptr<Cursor>>& cur) {
+    EXPECT_TRUE(cur.ok()) << cur.error();
+    std::vector<Tuple> out;
+    Tuple t;
+    while ((*cur)->Next(&t) == CursorStatus::kOk) out.push_back(t);
+    return Sorted(std::move(out));
+  }
+
+  std::vector<QueryHandle>& handles_;
+  std::vector<std::unique_ptr<QuerySession>>& sessions_;
+  std::vector<std::uint64_t> handle_epochs_;
+  std::vector<std::uint64_t> session_epochs_;
+  std::vector<std::vector<Tuple>> at_pin_;
+};
+
 TEST(RegistryTest, DifferentialSingleDeltas) {
   Rng rng(21);
   SchemaPool pool(/*reuse_prob=*/0.6);
@@ -89,7 +147,9 @@ TEST(RegistryTest, DifferentialSingleDeltas) {
   sopts.noop_ratio = 0.1;
   StreamGenerator gen(pool.schema, sopts);
 
+  std::unique_ptr<HeldPins> pins;
   for (int step = 0; step < 2000; ++step) {
+    if (step == 1000) pins = std::make_unique<HeldPins>(handles, sessions);
     UpdateCmd cmd = gen.Next(
         static_cast<RelId>(step % pool.schema->NumRelations()));
     const bool effective = reg.ApplyDelta(cmd);
@@ -102,8 +162,10 @@ TEST(RegistryTest, DifferentialSingleDeltas) {
       for (std::size_t i = 0; i < handles.size(); ++i) {
         ExpectSameResult(handles[i], *sessions[i], "single-delta churn");
       }
+      if (pins != nullptr) pins->ExpectUnchanged("single-delta pinned");
     }
   }
+  pins.reset();
   for (std::size_t i = 0; i < handles.size(); ++i) {
     ExpectSameResult(handles[i], *sessions[i], "final");
   }
@@ -133,14 +195,18 @@ TEST(RegistryTest, DifferentialBatches) {
   sopts.noop_ratio = 0.15;  // exercises the fold + no-op filtering
   StreamGenerator gen(pool.schema, sopts);
 
+  std::unique_ptr<HeldPins> pins;
   for (int round = 0; round < 25; ++round) {
+    if (round == 12) pins = std::make_unique<HeldPins>(handles, sessions);
     UpdateStream batch = gen.Take(120);
     reg.ApplyBatch(batch);
     for (auto& s : sessions) s->ApplyBatch(batch);
     for (std::size_t i = 0; i < handles.size(); ++i) {
       ExpectSameResult(handles[i], *sessions[i], "batch churn");
     }
+    if (pins != nullptr) pins->ExpectUnchanged("batch pinned");
   }
+  pins.reset();
 }
 
 TEST(RegistryTest, RegisterUnregisterMidStream) {
